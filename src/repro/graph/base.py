@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -290,6 +291,19 @@ class ConstraintGraphBase:
         out = {self.find(raw) for raw in self.pred_vars[rep]}
         out.discard(rep)
         return out
+
+    def var_var_edges(self) -> Iterator[Tuple[int, int]]:
+        """Stored var-var edges as ``(left, right)``, ids not ``find``-ed.
+
+        Exact for plain runs, where nothing collapses, so Tarjan over
+        them gives the final SCCs.  (SF stores no predecessor edges.)
+        """
+        for left, successors in enumerate(self.succ_vars):
+            for right in successors:
+                yield left, right
+        for right, predecessors in enumerate(self.pred_vars):
+            for left in predecessors:
+                yield left, right
 
     def finalize_statistics(self) -> None:
         """Fill the final edge counts into the stats object."""

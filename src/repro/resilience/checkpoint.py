@@ -13,7 +13,7 @@ What a checkpoint holds (format :data:`CHECKPOINT_VERSION`):
 * every adjacency / source / sink set, saved in iteration order;
 * the union-find parent array and collapsed count;
 * the full :class:`~repro.graph.stats.SolverStats` counter snapshot,
-  recorded var-edge keys, periodic-sweep position, diagnostics, and the
+  periodic-sweep position, diagnostics, and the
   engine's :class:`~repro.resilience.budget.SolveStatus`;
 * verification metadata — options label, variable/constraint counts,
   and the variable-order rank array.  :func:`restore` refuses (with
@@ -70,7 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..solver.options import SolverOptions
 
 #: Format version; bump on any breaking change to the payload shape.
-CHECKPOINT_VERSION = 1
+#: Version 2 dropped the recorded var-edge keys of version 1.
+CHECKPOINT_VERSION = 2
 
 #: Leading magic in the byte encoding, so stray pickles are rejected.
 _MAGIC = b"repro-ckpt\x00"
@@ -254,7 +255,6 @@ def capture(engine: "SolverEngine") -> EngineCheckpoint:
         "sources": [list(journal) for journal in graph._journal_sources],
         "sinks": [list(journal) for journal in graph._journal_sinks],
         "pending": list(engine.pending),
-        "var_edge_keys": sorted(engine._var_edge_keys),
         "since_sweep": engine._since_sweep,
         "stats": {
             f.name: getattr(stats, f.name) for f in fields(SolverStats)
@@ -330,25 +330,14 @@ def restore(
         mismatches.append(
             f"{len(system)} constraints != saved {meta['num_constraints']}"
         )
-    saved_order = meta.get("order")
-    if saved_order is not None and saved_order != options.order_spec().name:
+    if meta["order"] != options.order_spec().name:
         mismatches.append(
             f"variable order {options.order_spec().name!r} != saved "
-            f"{saved_order!r}"
+            f"{meta['order']!r}"
         )
     if sorted(saved_ranks) != list(range(len(saved_ranks))):
         mismatches.append(
             "saved rank array is not a permutation (corrupt checkpoint)"
-        )
-    saved_constructors = meta.get("num_constructors")
-    if saved_constructors is None and system.num_vars != saved_vars:
-        # Pre-"num_constructors" checkpoints cannot resolve expression
-        # references against a grown system (the variable block shifts
-        # every later intern index); such checkpoints also predate
-        # growth-tolerant restore, so nothing regresses by refusing.
-        mismatches.append(
-            "checkpoint predates growth support and the system has "
-            "grown since the capture"
         )
     if mismatches:
         raise CheckpointError(
@@ -358,7 +347,7 @@ def restore(
     engine = SolverEngine(system, options)
     state = _load_state(
         payload["state"], system,
-        num_constructors=saved_constructors,
+        num_constructors=int(meta["num_constructors"]),
         num_vars=saved_vars,
         num_constraints=int(meta["num_constraints"]),
     )
@@ -394,7 +383,6 @@ def restore(
         setattr(stats, name, value)
     engine.pending.clear()
     engine.pending.extend(state["pending"])
-    engine._var_edge_keys = set(state["var_edge_keys"])
     engine._since_sweep = state["since_sweep"]
     engine.diagnostics[:] = state["diagnostics"]
     engine.status = SolveStatus(state["status"])

@@ -16,7 +16,11 @@ six configurations plus the reference, and cross-check
   the reference does;
 * **collapse equivalence** — variables a configuration collapsed into
   one component must have equal reference least solutions (collapsing
-  is only sound for variables on a common cycle).
+  is only sound for variables on a common cycle);
+* **SCC partition** — the final-graph SCCs of SF-Plain and IF-Plain
+  are the same partition, and every Oracle run collapsed exactly that
+  partition (the oracle reads it off one SF-Plain run for both forms,
+  so this checks the shortcut rather than assuming it).
 
 Any disagreement is shrunk (ddmin over the constraint list, then greedy
 single removals to 1-minimality) and saved as a JSON reproducer under
@@ -33,13 +37,14 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..constraints.constructors import ONE_CONSTRUCTOR, ZERO_CONSTRUCTOR
 from ..constraints.expressions import ONE, SetExpression, Term, Var, ZERO
 from ..constraints.system import ConstraintSystem
 from ..constraints.variance import Variance
 from ..experiments.config import EXPERIMENT_LABELS, options_for
+from ..graph.scc import strongly_connected_components
 from ..solver import solve, solve_reference
 from ..workloads.generator import RandomSystemConfig, random_system
 from .errors import ResilienceError
@@ -59,7 +64,7 @@ class FuzzDisagreement:
     seed: int
     #: experiment label that disagreed with the reference
     label: str
-    #: "verdict" | "least-solution" | "collapse"
+    #: "verdict" | "least-solution" | "collapse" | "partition"
     kind: str
     #: human-readable description of the mismatch
     detail: str
@@ -90,6 +95,7 @@ def check_system(
     """
     reference = solve_reference(system)
     reference_ok = not reference.diagnostics
+    partitions: Dict[str, FrozenSet[FrozenSet[int]]] = {}
     for label in labels or EXPERIMENT_LABELS:
         solution = solve(system, options_for(label, seed=seed))
         if solution.ok != reference_ok:
@@ -124,6 +130,34 @@ def check_system(
                         f"{members[0]} and {other} collapsed together but "
                         f"have different reference least solutions",
                     )
+        if label.endswith("Oracle"):
+            partitions[label] = frozenset(
+                frozenset(var.index for var in members)
+                for members in components.values() if len(members) > 1
+            )
+    # SCC partition: read off both Plain final graphs (solved here, so
+    # the check runs whatever ``labels`` selects), then every Oracle
+    # run's collapse classes must equal SF-Plain's.
+    for label in ("SF-Plain", "IF-Plain"):
+        graph = solve(system, options_for(label, seed=seed)).graph
+        partitions[label] = frozenset(
+            frozenset(component)
+            for component in strongly_connected_components(
+                range(system.num_vars), graph.var_var_edges()
+            )
+            if len(component) > 1
+        )
+    want = partitions.pop("SF-Plain")
+    for label, got in partitions.items():
+        if got != want:
+            missing = sorted(map(sorted, want - got))
+            extra = sorted(map(sorted, got - want))
+            return (
+                label,
+                "partition",
+                f"differs from SF-Plain's final SCCs: "
+                f"missing={missing} extra={extra}",
+            )
     return None
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, FrozenSet, List, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Tuple
 
 from ..constraints.errors import ConstraintDiagnostic
 from ..constraints.expressions import SetExpression, Term
@@ -85,12 +85,6 @@ class SolverEngine:
             max_search_visits=options.max_search_visits,
             sink=self.sink,
         )
-        self.record_var_edges = options.record_var_edges
-        # Recorded var-var constraints are interned as packed integer
-        # keys ``(left << 32) | right`` — one int hash per edge instead
-        # of a tuple allocation + tuple hash on every recorded operation.
-        # They are decoded back to pairs once, in :meth:`_make_solution`.
-        self._var_edge_keys: Set[int] = set()
         self._periodic = options.cycles is CyclePolicy.PERIODIC
         self._periodic_interval = max(1, options.periodic_interval)
         self._since_sweep = 0
@@ -210,12 +204,9 @@ class SolverEngine:
         add_source = graph.add_source
         add_sink = graph.add_sink
         resolve = self._resolve
-        record = self.record_var_edges
-        edge_keys = self._var_edge_keys
-        periodic = self._periodic
-        if not record and not periodic:
+        if not self._periodic:
             # Fast drain: identical dispatch without the per-operation
-            # record/periodic checks (the overwhelmingly common case).
+            # periodic sweep check (the overwhelmingly common case).
             while pending:
                 tag, first, second = popleft()
                 if tag == OP_VAR_VAR:
@@ -230,17 +221,8 @@ class SolverEngine:
         while pending:
             tag, first, second = popleft()
             if tag == OP_VAR_VAR:
-                if record:
-                    edge_keys.add((first << 32) | second)
                 add_var_var(first, second)
-                if periodic:
-                    self._since_sweep += 1
-                    if self._since_sweep >= self._periodic_interval:
-                        self._since_sweep = 0
-                        self.stats.periodic_sweeps += 1
-                        eliminated = graph.collapse_all_sccs()
-                        if self.sink is not None:
-                            self.sink.sweep(eliminated)
+                self._periodic_tick()
             elif tag == OP_SOURCE:
                 add_source(first, second)
             elif tag == OP_SINK:
@@ -251,10 +233,10 @@ class SolverEngine:
     def _drain_guarded(self) -> None:
         """Drain under budget / cancellation / stride-audit supervision.
 
-        Dispatches identically to :meth:`_drain` (including the record
-        and periodic paths), but every ``check_stride`` operations it
-        polls the budget and cancellation token, and every
-        ``stride-N`` operations it audits the graph invariants.  The
+        Dispatches identically to :meth:`_drain` (including the periodic
+        path), but every ``check_stride`` operations it polls the budget
+        and cancellation token, and every ``stride-N`` operations it
+        audits the graph invariants.  The
         checks observe and stop — they never reorder or skip operations
         — so counters stay bit-identical to an unguarded run.
 
@@ -270,8 +252,6 @@ class SolverEngine:
         add_source = graph.add_source
         add_sink = graph.add_sink
         resolve = self._resolve
-        record = self.record_var_edges
-        edge_keys = self._var_edge_keys
         periodic = self._periodic
         stride = self._check_stride
         audit_stride = self._audit_policy.stride
@@ -292,23 +272,25 @@ class SolverEngine:
                     self._run_audit()
             tag, first, second = popleft()
             if tag == OP_VAR_VAR:
-                if record:
-                    edge_keys.add((first << 32) | second)
                 add_var_var(first, second)
                 if periodic:
-                    self._since_sweep += 1
-                    if self._since_sweep >= self._periodic_interval:
-                        self._since_sweep = 0
-                        self.stats.periodic_sweeps += 1
-                        eliminated = graph.collapse_all_sccs()
-                        if self.sink is not None:
-                            self.sink.sweep(eliminated)
+                    self._periodic_tick()
             elif tag == OP_SOURCE:
                 add_source(first, second)
             elif tag == OP_SINK:
                 add_sink(first, second)
             else:
                 resolve(first, second)
+
+    def _periodic_tick(self) -> None:
+        """Count one var-var addition; sweep every SCC each interval."""
+        self._since_sweep += 1
+        if self._since_sweep >= self._periodic_interval:
+            self._since_sweep = 0
+            self.stats.periodic_sweeps += 1
+            eliminated = self.graph.collapse_all_sccs()
+            if self.sink is not None:
+                self.sink.sweep(eliminated)
 
     def _check_limits(self) -> bool:
         """Poll cancellation and budget; False means stop (partial)."""
@@ -381,11 +363,6 @@ class SolverEngine:
         # explicit source buckets, canonicalized through find.
         return self.graph.compute_least_solution()
 
-    @property
-    def var_edges(self) -> Set[Tuple[int, int]]:
-        """Recorded var-var constraints, decoded from the interned keys."""
-        return {(key >> 32, key & 0xFFFFFFFF) for key in self._var_edge_keys}
-
     def _make_solution(self, least: Dict[int, FrozenSet[Term]]) -> Solution:
         return Solution(
             self.options,
@@ -393,7 +370,5 @@ class SolverEngine:
             least,
             self.stats,
             self.diagnostics,
-            var_edges=self.var_edges if self.record_var_edges else None,
-            num_vars=self.system.num_vars,
             status=self.status,
         )

@@ -66,9 +66,6 @@ class SolverOptions:
     search_mode: SearchMode = SearchMode.DECREASING
     #: optional visit budget per cycle search (None = unbounded)
     max_search_visits: Optional[int] = None
-    #: record every processed var-var constraint over original variable
-    #: ids (needed for final-graph SCC statistics and by the oracle)
-    record_var_edges: bool = False
     #: pre-collapse map variable-index -> witness-index (oracle phase 2)
     alias_map: Optional[Dict[int, int]] = None
     #: for CyclePolicy.PERIODIC: run a full SCC sweep every this many

@@ -8,12 +8,15 @@ component's witness.
 
 We realize the oracle in two phases:
 
-1. **Phase 1** solves the system plainly (no elimination) while
-   recording every processed variable-variable constraint over original
-   variable ids; Tarjan over that graph yields the final SCCs and a
-   witness map.
-2. **Phase 2** re-solves the same system with every SCC member
-   pre-collapsed onto its witness before any constraint is processed.
+1. **Phase 1** solves the system as SF-Plain for both forms: the SCC
+   partition is a property of the closure, not of the form (IF only
+   adds transitive edges).  Nothing collapses in a plain run, so Tarjan
+   over its final graph's var-var edges yields the final SCCs; each maps
+   onto its smallest member, a witness that depends only on the
+   partition.
+2. **Phase 2** re-solves the same system in the requested form with
+   every SCC member pre-collapsed onto its witness before any
+   constraint is processed.
 
 Phase 2's statistics are the oracle numbers; phase 1 is attached to the
 returned solution for inspection but its cost is *not* charged to the
@@ -25,7 +28,7 @@ from __future__ import annotations
 from ..constraints.system import ConstraintSystem
 from ..graph.scc import witness_map
 from .engine import SolverEngine
-from .options import CyclePolicy, SolverOptions
+from .options import CyclePolicy, GraphForm, SolverOptions
 from .solution import Solution
 
 
@@ -33,19 +36,15 @@ def solve_with_oracle(
     system: ConstraintSystem, options: SolverOptions
 ) -> Solution:
     """Run the two-phase oracle experiment for ``options.form``."""
-    phase1_options = options.replace(
-        cycles=CyclePolicy.NONE,
-        record_var_edges=True,
-        alias_map=None,
+    phase1 = SolverEngine(system, options.replace(
+        form=GraphForm.STANDARD, cycles=CyclePolicy.NONE, alias_map=None,
+    )).run()
+    mapping = witness_map(
+        range(system.num_vars), phase1.graph.var_var_edges()
     )
-    phase1 = SolverEngine(system, phase1_options).run()
-    mapping = witness_map(range(system.num_vars), phase1.var_edges or set())
-    phase2_options = options.replace(
-        cycles=CyclePolicy.NONE,
-        record_var_edges=False,
-        alias_map=mapping,
-    )
-    solution = SolverEngine(system, phase2_options).run()
+    solution = SolverEngine(system, options.replace(
+        cycles=CyclePolicy.NONE, alias_map=mapping,
+    )).run()
     # Present the run under its true label (e.g. "IF-Oracle").
     solution.options = options
     solution.oracle_phase1 = phase1

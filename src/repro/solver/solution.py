@@ -7,7 +7,7 @@ immutable from the caller's perspective; all queries are read-only.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from ..constraints.errors import (
     ConstraintDiagnostic,
@@ -18,7 +18,7 @@ from ..graph.base import ConstraintGraphBase
 from ..graph.scc import SccSummary, summarize_sccs
 from ..graph.stats import SolverStats
 from ..resilience.budget import SolveStatus
-from .options import SolverOptions
+from .options import CyclePolicy, SolverOptions
 
 
 class Solution:
@@ -43,8 +43,6 @@ class Solution:
         least: Dict[int, FrozenSet[Term]],
         stats: SolverStats,
         diagnostics: List[ConstraintDiagnostic],
-        var_edges: Optional[Set[Tuple[int, int]]] = None,
-        num_vars: int = 0,
         status: SolveStatus = SolveStatus.COMPLETE,
     ) -> None:
         self.options = options
@@ -55,11 +53,7 @@ class Solution:
         #: how the run ended (see the class docstring for the partial
         #: soundness contract)
         self.status = status
-        #: processed var-var constraints over original variable ids
-        #: (present only when options.record_var_edges was set)
-        self.var_edges = var_edges
-        self.num_vars = num_vars
-        #: filled by the oracle driver: the phase-1 (plain) solution
+        #: filled by solve_with_oracle: the phase-1 (SF-Plain) solution
         self.oracle_phase1: Optional["Solution"] = None
         #: number of variables pre-collapsed by the oracle witness map
         self.oracle_witnessed: int = 0
@@ -102,18 +96,17 @@ class Solution:
     # Final-graph SCC statistics (Table 1 / Figure 11 denominators)
     # ------------------------------------------------------------------
     def final_scc_summary(self) -> SccSummary:
-        """SCC summary of the processed var-var constraint graph.
+        """SCC summary of the final var-var constraint graph.
 
-        Requires the run to have recorded var-var edges
-        (``options.record_var_edges``); meaningful for plain runs, where
-        variable ids are never collapsed.
+        Read off the graph, so only a complete plain run can answer;
+        any other run raises :class:`ValueError`.
         """
-        if self.var_edges is None:
-            raise ValueError(
-                "var-var edges were not recorded; re-solve with "
-                "record_var_edges=True"
-            )
-        return summarize_sccs(range(self.num_vars), self.var_edges)
+        if self.options.cycles is not CyclePolicy.NONE:
+            raise ValueError(f"{self.options.label} collapses variables")
+        if self.status.is_partial:
+            raise ValueError(f"not a complete run ({self.status.value})")
+        graph = self.graph
+        return summarize_sccs(range(graph.num_vars), graph.var_var_edges())
 
     def __repr__(self) -> str:
         if self.status is not SolveStatus.COMPLETE:

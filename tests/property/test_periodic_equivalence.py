@@ -55,13 +55,10 @@ def test_periodic_matches_reference(system, interval, seed):
 @given(cyclic_systems(), st.integers(0, 3))
 @settings(max_examples=30, deadline=None)
 def test_sweep_every_edge_eliminates_all_cycles(system, seed):
-    from repro.graph.scc import summarize_sccs
-
     plain = solve(system, SolverOptions(
-        form=GraphForm.STANDARD, cycles=CyclePolicy.NONE,
-        record_var_edges=True, seed=seed,
+        form=GraphForm.STANDARD, cycles=CyclePolicy.NONE, seed=seed,
     ))
-    summary = summarize_sccs(range(system.num_vars), plain.var_edges)
+    summary = plain.final_scc_summary()
     periodic = solve(system, SolverOptions(
         form=GraphForm.STANDARD, cycles=CyclePolicy.PERIODIC,
         periodic_interval=1, seed=seed,

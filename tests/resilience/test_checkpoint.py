@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench.measure import counters_of
 from repro.resilience import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     EngineCheckpoint,
     SolveBudget,
@@ -93,6 +94,20 @@ def test_bytes_rejects_garbage_and_bad_versions():
     checkpoint.version = 999
     with pytest.raises(CheckpointError, match="version"):
         EngineCheckpoint.from_bytes(checkpoint.to_bytes())
+
+
+def test_version_1_checkpoints_rejected():
+    """Version 1 carried recorded var-edge keys; this build reads 2."""
+    assert CHECKPOINT_VERSION == 2
+    system = make_system()
+    engine = SolverEngine(system, SolverOptions(checkpointable=True))
+    engine.run()
+    old = capture(engine)
+    old.version = 1
+    with pytest.raises(CheckpointError, match="version 1"):
+        EngineCheckpoint.from_bytes(old.to_bytes())
+    with pytest.raises(CheckpointError, match="version 1"):
+        restore(system, SolverOptions(checkpointable=True), old)
 
 
 def test_restore_rejects_mismatched_system():

@@ -33,6 +33,26 @@ def inject_broken_absorb(monkeypatch):
     monkeypatch.setattr(ConstraintGraphBase, "_absorb", broken)
 
 
+def inject_lossy_witness_map(monkeypatch):
+    """Oracle witness map that forgets the SCC of the largest witness."""
+    from repro.solver import oracle
+
+    real = oracle.witness_map
+
+    def lossy(vertices, edges):
+        mapping = real(vertices, edges)
+        if mapping:
+            dropped = max(mapping.values())
+            mapping = {
+                member: witness
+                for member, witness in mapping.items()
+                if witness != dropped
+            }
+        return mapping
+
+    monkeypatch.setattr(oracle, "witness_map", lossy)
+
+
 class TestHealthyAgreement:
     def test_check_system_agrees(self):
         assert check_system(random_system(RandomSystemConfig(seed=1))) is None
@@ -89,6 +109,31 @@ class TestInjectedBug:
             assert total == len(found)
         finally:
             reset_default_registry()
+
+
+class TestPartitionCheck:
+    def test_partition_check_catches_lossy_oracle(self, monkeypatch):
+        # Collapsing fewer variables is still sound, so least solutions,
+        # verdicts and collapse equivalence all agree: only the
+        # partition check can notice the oracle missed an SCC.
+        inject_lossy_witness_map(monkeypatch)
+        found = run_fuzz(count=6, seed=0, corpus_dir=None, shrink=False)
+        assert found, "partition check missed the dropped SCC"
+        assert {d.kind for d in found} == {"partition"}
+        assert {d.label for d in found} == {"SF-Oracle"}
+        assert "missing=[[" in found[0].detail
+
+    def test_partition_shrinks_to_one_cycle(self, monkeypatch, tmp_path):
+        inject_lossy_witness_map(monkeypatch)
+        found = run_fuzz(count=3, seed=0,
+                         corpus_dir=os.fspath(tmp_path), labels=["IF-Oracle"])
+        assert found and found[0].kind == "partition"
+        system, meta = load_reproducer(found[0].path)
+        assert meta["label"] == "IF-Oracle"
+        # A 1-minimal reproducer is a single var-var cycle.
+        assert found[0].constraints == len(system) <= 3
+        monkeypatch.undo()
+        assert check_system(system) is None
 
 
 class TestShrinking:

@@ -90,24 +90,19 @@ class TestEngineGuards:
                 SolverOptions(cycles=CyclePolicy.ORACLE),
             )
 
-    def test_record_var_edges(self):
+    def test_plain_graph_edges_cover_input(self):
         system, variables, _ = chain_system(4)
-        solution = solve(system, SolverOptions(
-            form=GraphForm.STANDARD,
-            cycles=CyclePolicy.NONE,
-            record_var_edges=True,
-        ))
-        recorded = solution.var_edges
+        # Close the chain into a cycle: nothing collapses in a plain run.
+        system.add(variables[-1], variables[0])
         expected = {
             (left.index, right.index)
-            for left, right in zip(variables, variables[1:])
+            for left, right in zip(variables, variables[1:] + variables[:1])
         }
-        assert expected <= recorded
-
-    def test_edges_not_recorded_by_default(self):
-        system, _, _ = chain_system()
-        solution = solve(system, SolverOptions())
-        assert solution.var_edges is None
+        for form in (GraphForm.STANDARD, GraphForm.INDUCTIVE):
+            solution = solve(system, SolverOptions(
+                form=form, cycles=CyclePolicy.NONE,
+            ))
+            assert expected <= set(solution.graph.var_var_edges()), form
 
 
 class TestDeterminism:

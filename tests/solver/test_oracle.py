@@ -1,7 +1,11 @@
 """Tests for the two-phase oracle (paper Section 4)."""
 
+import pytest
+
 from repro import ConstraintSystem, Variance
+from repro.graph.scc import witness_map
 from repro.solver import CyclePolicy, GraphForm, SolverOptions, solve
+from repro.workloads.suite import suite
 
 
 def cyclic_system():
@@ -37,9 +41,14 @@ class TestOracle:
 
     def test_phase1_attached(self):
         system, _, _ = cyclic_system()
-        oracle = solve(system, oracle_options(GraphForm.STANDARD))
-        assert oracle.oracle_phase1 is not None
-        assert oracle.oracle_phase1.var_edges is not None
+        for form in (GraphForm.STANDARD, GraphForm.INDUCTIVE):
+            oracle = solve(system, oracle_options(form))
+            # Both oracle forms read the partition off one SF-Plain run.
+            assert oracle.oracle_phase1 is not None
+            assert oracle.oracle_phase1.options.label == "SF-Plain"
+            summary = oracle.oracle_phase1.final_scc_summary()
+            assert summary.vars_in_cycles == 4
+            assert summary.nontrivial_sccs == 2
 
     def test_witnessed_counts_cycle_members(self):
         system, _, _ = cyclic_system()
@@ -77,3 +86,36 @@ class TestOracle:
             form=GraphForm.STANDARD, cycles=CyclePolicy.NONE))
         assert oracle.oracle_witnessed == 0
         assert oracle.stats.work == plain.stats.work
+
+
+def oracle_witnesses(solution):
+    """The witness map phase 2 pre-collapsed, read back off its graph."""
+    find = solution.graph.find
+    return {
+        index: find(index)
+        for index in range(solution.graph.num_vars)
+        if find(index) != index
+    }
+
+
+def assert_if_oracle_matches_if_plain(benchmarks):
+    for bench in benchmarks:
+        system = bench.program.system
+        plain = solve(system, SolverOptions(
+            form=GraphForm.INDUCTIVE, cycles=CyclePolicy.NONE))
+        expected = witness_map(
+            range(system.num_vars), plain.graph.var_var_edges())
+        oracle = solve(system, oracle_options(GraphForm.INDUCTIVE))
+        assert oracle_witnesses(oracle) == expected, bench.name
+        assert oracle.oracle_witnessed == len(expected), bench.name
+
+
+class TestSfPhase1ServesIf:
+    """The SF-Plain partition is the one an IF-Plain graph shows."""
+
+    def test_quick_suite(self):
+        assert_if_oracle_matches_if_plain(suite("quick"))
+
+    @pytest.mark.slow
+    def test_medium_suite(self):
+        assert_if_oracle_matches_if_plain(suite("medium"))

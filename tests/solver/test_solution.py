@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ConstraintSystem, Variance
+from repro.resilience import SolveBudget
 from repro.solver import CyclePolicy, GraphForm, SolverOptions, solve
 
 
@@ -17,7 +18,6 @@ def solved_cycle():
     system.add(y, z)
     options = SolverOptions(
         form=GraphForm.INDUCTIVE, cycles=CyclePolicy.ONLINE,
-        record_var_edges=True,
     )
     return system, (x, y, z), src, solve(system, options)
 
@@ -52,25 +52,39 @@ class TestSolutionQueries:
         solution.raise_on_errors()  # must not raise
 
 
-class TestSccSummary:
-    def test_summary_requires_recording(self):
-        system = ConstraintSystem()
-        x, y = system.fresh_vars(2)
-        system.add(x, y)
-        solution = solve(system, SolverOptions())
-        with pytest.raises(ValueError):
-            solution.final_scc_summary()
+def cycle_system():
+    system = ConstraintSystem()
+    x, y, z = system.fresh_vars(3)
+    system.add(x, y)
+    system.add(y, x)
+    system.add(y, z)
+    return system
 
+
+class TestSccSummary:
     def test_summary_counts_cycle(self):
-        system = ConstraintSystem()
-        x, y, z = system.fresh_vars(3)
-        system.add(x, y)
-        system.add(y, x)
-        system.add(y, z)
-        solution = solve(system, SolverOptions(
+        for form in (GraphForm.STANDARD, GraphForm.INDUCTIVE):
+            solution = solve(cycle_system(), SolverOptions(
+                form=form, cycles=CyclePolicy.NONE,
+            ))
+            summary = solution.final_scc_summary()
+            assert summary.vars_in_cycles == 2, form
+            assert summary.max_scc_size == 2, form
+            assert summary.nontrivial_sccs == 1, form
+
+    def test_summary_refuses_collapsing_runs(self):
+        for cycles in (CyclePolicy.ONLINE, CyclePolicy.ORACLE,
+                       CyclePolicy.PERIODIC):
+            solution = solve(cycle_system(), SolverOptions(cycles=cycles))
+            with pytest.raises(ValueError, match="collapses"):
+                solution.final_scc_summary()
+
+    def test_summary_refuses_partial_runs(self):
+        solution = solve(cycle_system(), SolverOptions(
             form=GraphForm.STANDARD, cycles=CyclePolicy.NONE,
-            record_var_edges=True,
+            budget=SolveBudget(max_work=1), on_budget="partial",
+            check_stride=1,
         ))
-        summary = solution.final_scc_summary()
-        assert summary.vars_in_cycles == 2
-        assert summary.max_scc_size == 2
+        assert solution.is_partial
+        with pytest.raises(ValueError, match="complete run"):
+            solution.final_scc_summary()
