@@ -13,16 +13,11 @@ Typical uses::
 
     # Local perf check, medium suite, with the time gate active.
     python -m repro.bench --suite medium --baseline benchmarks/BASELINE.json
-
-Work counts are exact oracles only under a pinned hash seed, so unless
-``PYTHONHASHSEED`` is already set the process re-executes itself once
-with ``PYTHONHASHSEED=0``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -122,32 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "deterministic report fields are byte-identical to a "
              "serial run",
     )
-    parser.add_argument(
-        "--no-pin-hashseed", action="store_true",
-        help="do not re-exec with PYTHONHASHSEED=0 (work counts of "
-             "Online configurations then vary between processes)",
-    )
     return parser
 
 
-def _repin_hash_seed(argv: List[str]) -> Optional[int]:
-    """Re-exec once with PYTHONHASHSEED=0 unless already pinned."""
-    if os.environ.get("PYTHONHASHSEED") is not None:
-        return None
-    import subprocess
-
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    command = [sys.executable, "-m", "repro.bench", *argv]
-    return subprocess.call(command, env=env)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
-    if not args.no_pin_hashseed:
-        code = _repin_hash_seed(argv)
-        if code is not None:
-            return code
     suite_name = args.suite or SMOKE_SUITE
     repeats = args.repeats if args.repeats is not None else SMOKE_REPEATS
     try:

@@ -4,18 +4,18 @@ Two kinds of checks, reflecting the two kinds of numbers the harness
 records:
 
 * **Work counts are exact.**  They are deterministic for a pinned
-  workload, seed, and ``PYTHONHASHSEED``, so *any* increase in ``work``
-  is a regression — there is no noise to tolerate.  A (benchmark,
-  experiment) pair present in the baseline but missing from the fresh
-  run also fails: silently shrinking the suite must not read as green.
+  workload and seed, so *any* increase in ``work`` is a regression —
+  there is no noise to tolerate.  A (benchmark, experiment) pair
+  present in the baseline but missing from the fresh run also fails:
+  silently shrinking the suite must not read as green.
 * **Wall times are noisy.**  The median must stay within
   ``1 + time_tolerance`` of the baseline; time checks can be disabled
   entirely (``check_time=False``) when baseline and current run were
   produced on different machines, as in CI.
 
-Comparing runs with different suites, seeds, or hash seeds is refused
-rather than attempted: the counters are only oracles when the workload
-is literally the same.
+Comparing runs with different suites or seeds is refused rather than
+attempted: the counters are only oracles when the workload is literally
+the same.
 """
 
 from __future__ import annotations
@@ -87,13 +87,6 @@ def compare_reports(
                 f"baseline {attr}={getattr(baseline, attr)!r} but current "
                 f"run has {attr}={getattr(current, attr)!r}"
             )
-    if baseline.hash_seed != current.hash_seed:
-        raise IncomparableReportsError(
-            f"baseline was recorded with PYTHONHASHSEED="
-            f"{baseline.hash_seed} but this run used "
-            f"{current.hash_seed}; work counts are only comparable "
-            "under the same hash seed"
-        )
     result = ComparisonResult()
     current_by_key = current.key()
     for key, base_record in baseline.key().items():

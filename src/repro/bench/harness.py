@@ -7,7 +7,7 @@ schema-versioned :class:`BenchReport`:
 
 * the deterministic ``SolverStats`` counters per (benchmark,
   experiment) — exact regression oracles, reproducible across machines
-  when ``PYTHONHASHSEED`` is pinned (the CLI pins it to ``0``);
+  and processes;
 * median-of-N wall times — noisy, gated only by a tolerance.
 
 The report serializes to ``BENCH_<n>.json`` (see
@@ -136,9 +136,6 @@ class BenchReport:
     python_version: str = field(
         default_factory=lambda: platform.python_version()
     )
-    hash_seed: str = field(
-        default_factory=lambda: os.environ.get("PYTHONHASHSEED", "random")
-    )
     #: commit the run measured (schema v2; "unknown" on v1 reports)
     git_sha: str = field(default_factory=detect_git_sha)
     #: ISO-8601 UTC stamp of the run (schema v2; "" on v1 reports)
@@ -162,7 +159,6 @@ class BenchReport:
             "repeats": self.repeats,
             "experiments": list(self.experiments),
             "python_version": self.python_version,
-            "hash_seed": self.hash_seed,
             "git_sha": self.git_sha,
             "timestamp": self.timestamp,
             "records": [record.to_dict() for record in self.records],
@@ -171,7 +167,9 @@ class BenchReport:
     @classmethod
     def from_dict(cls, payload: dict) -> "BenchReport":
         # v1 payloads predate the provenance stamps; default them
-        # rather than refusing — old baselines must keep loading.
+        # rather than refusing — old baselines must keep loading.  The
+        # hash-seed stamp of older reports is ignored: Work does not
+        # depend on it.
         return cls(
             suite=payload["suite"],
             seed=int(payload["seed"]),
@@ -182,7 +180,6 @@ class BenchReport:
             ],
             schema_version=int(payload["schema_version"]),
             python_version=payload.get("python_version", "unknown"),
-            hash_seed=str(payload.get("hash_seed", "random")),
             git_sha=str(payload.get("git_sha", "unknown")),
             timestamp=str(payload.get("timestamp", "")),
         )
@@ -237,12 +234,12 @@ def run_bench(
     ``jobs > 1`` shards the (benchmark, experiment) pairs across a
     :mod:`repro.parallel` worker pool (``jobs <= 0`` means one worker
     per core).  The report's deterministic fields are byte-identical to
-    a serial run — results merge in task submission order and every
-    worker pins ``PYTHONHASHSEED`` — and only ``wall_times`` /
-    ``median_seconds`` / ``timestamp`` differ.  ``timeout_seconds``
-    then bounds the whole run *and* each individual solve (crashed or
-    hung workers are retried once, then reported); trace and metrics
-    artifacts are merged across workers in the same task order.
+    a serial run — results merge in task submission order — and only
+    ``wall_times`` / ``median_seconds`` / ``timestamp`` differ.
+    ``timeout_seconds`` then bounds the whole run *and* each individual
+    solve (crashed or hung workers are retried once, then reported);
+    trace and metrics artifacts are merged across workers in the same
+    task order.
     """
     if jobs != 1:
         return _run_bench_parallel(
@@ -575,7 +572,7 @@ def render_report(report: BenchReport) -> str:
     """A compact human-readable table of one report."""
     lines = [
         f"suite={report.suite} seed={report.seed} repeats={report.repeats} "
-        f"python={report.python_version} hash_seed={report.hash_seed}",
+        f"python={report.python_version}",
         f"{'benchmark':<14} {'experiment':<10} {'work':>10} "
         f"{'median_ms':>10}",
     ]

@@ -43,15 +43,6 @@ class Variance(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
-    def __hash__(self) -> int:
-        # Enum members hash by object identity by default, which varies
-        # between processes.  Variance participates (via Constructor
-        # signatures) in every Term hash, so give it a value-based hash:
-        # with PYTHONHASHSEED pinned, term-set iteration order — and
-        # therefore the solver's emitted-operation order and Work counts
-        # — becomes reproducible across processes.
-        return hash(self.value)
-
 
 #: Shorthands used throughout signature declarations.
 COVARIANT = Variance.COVARIANT

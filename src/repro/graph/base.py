@@ -7,12 +7,18 @@ Both standard form and inductive form keep, per variable:
 * ``succ_vars`` / ``pred_vars`` — variable-variable adjacency (SF uses
   only successor lists; IF splits edges by the order ``o(.)``).
 
-Adjacency sets store raw integer variable ids.  Collapsed variables are
-forwarded through a union-find; stale ids in adjacency sets are resolved
-lazily via ``find`` whenever they are read.  Propagation never mutates
-the graph directly — it *emits* atomic operations onto the engine's
-worklist, which keeps the closure incremental and makes the Work metric
-(one unit per processed operation) well defined.
+Each bucket is an insertion-ordered ``dict`` used as a set (key →
+``None``): propagation iterates buckets, and the order operations are
+emitted in decides the Work count, so iterating in insertion order
+makes Work a function of the constraint system and the variable order
+alone — not of string hashing, which varies between processes.
+
+Adjacency buckets store raw integer variable ids.  Collapsed variables
+are forwarded through a union-find; stale ids in adjacency buckets are
+resolved lazily via ``find`` whenever they are read.  Propagation never
+mutates the graph directly — it *emits* atomic operations onto the
+engine's worklist, which keeps the closure incremental and makes the
+Work metric (one unit per processed operation) well defined.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Dict,
     Iterator,
     List,
     Optional,
@@ -85,41 +92,14 @@ class ConstraintGraphBase:
         self.rank = order.ranks.__getitem__
         self._uf_parent = self.unionfind._parent
         self._ranks = order.ranks
-        self.succ_vars: List[Set[int]] = [set() for _ in range(num_vars)]
-        self.pred_vars: List[Set[int]] = [set() for _ in range(num_vars)]
-        self.sources: List[Set[Term]] = [set() for _ in range(num_vars)]
-        self.sinks: List[Set[Term]] = [set() for _ in range(num_vars)]
-        # Insertion journals (checkpoint support): parallel per-variable
-        # lists recording each bucket's successful insertions in order.
-        # A set's iteration order — which the solver's Work counts depend
-        # on — is a function of its insertion sequence, so reproducing a
-        # set exactly after a checkpoint requires replaying that
-        # sequence, not just the final contents.  ``None`` (the default)
-        # disables journaling; the cost when enabled is one list append
-        # per *stored* edge, nothing per redundant attempt.
-        self._journal_succ: Optional[List[List[int]]] = None
-        self._journal_pred: Optional[List[List[int]]] = None
-        self._journal_sources: Optional[List[List[Term]]] = None
-        self._journal_sinks: Optional[List[List[Term]]] = None
-
-    def enable_journal(self) -> None:
-        """Start recording bucket insertion order (for checkpoints).
-
-        Must be called before any constraint is processed — journals
-        begun mid-run would miss earlier insertions.
-        """
-        if self._journal_succ is not None:
-            return
-        if any(self.succ_vars) or any(self.pred_vars) \
-                or any(self.sources) or any(self.sinks):
-            raise ValueError(
-                "enable_journal must be called on a pristine graph"
-            )
-        count = self.num_vars
-        self._journal_succ = [[] for _ in range(count)]
-        self._journal_pred = [[] for _ in range(count)]
-        self._journal_sources = [[] for _ in range(count)]
-        self._journal_sinks = [[] for _ in range(count)]
+        self.succ_vars: List[Dict[int, None]] = [
+            {} for _ in range(num_vars)
+        ]
+        self.pred_vars: List[Dict[int, None]] = [
+            {} for _ in range(num_vars)
+        ]
+        self.sources: List[Dict[Term, None]] = [{} for _ in range(num_vars)]
+        self.sinks: List[Dict[Term, None]] = [{} for _ in range(num_vars)]
 
     # ------------------------------------------------------------------
     # Small helpers
@@ -143,16 +123,7 @@ class ConstraintGraphBase:
             self.sinks,
         ):
             while len(collection) < num_vars:
-                collection.append(set())
-        for journal in (
-            self._journal_succ,
-            self._journal_pred,
-            self._journal_sources,
-            self._journal_sinks,
-        ):
-            if journal is not None:
-                while len(journal) < num_vars:
-                    journal.append([])
+                collection.append({})
         self.num_vars = num_vars
 
     def alias(self, var_index: int, witness_index: int) -> None:
@@ -216,15 +187,10 @@ class ConstraintGraphBase:
             emit((OP_VAR_VAR, witness, succ))
         for pred in self.pred_vars[absorbed]:
             emit((OP_VAR_VAR, pred, witness))
-        self.sources[absorbed] = set()
-        self.sinks[absorbed] = set()
-        self.succ_vars[absorbed] = set()
-        self.pred_vars[absorbed] = set()
-        if self._journal_succ is not None:
-            self._journal_succ[absorbed] = []
-            self._journal_pred[absorbed] = []
-            self._journal_sources[absorbed] = []
-            self._journal_sinks[absorbed] = []
+        self.sources[absorbed] = {}
+        self.sinks[absorbed] = {}
+        self.succ_vars[absorbed] = {}
+        self.pred_vars[absorbed] = {}
 
     def collapse_all_sccs(self) -> int:
         """Collapse every non-trivial SCC of the current var-var graph.
@@ -254,7 +220,7 @@ class ConstraintGraphBase:
 
     def _search_and_collapse(
         self,
-        adjacency: Sequence[Set[int]],
+        adjacency: Sequence[Dict[int, None]],
         start: int,
         target: int,
         mode: SearchMode,

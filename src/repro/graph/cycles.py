@@ -43,7 +43,7 @@ class SearchMode(enum.Enum):
 
 
 def find_chain_path(
-    adjacency: Sequence[Set[int]],
+    adjacency: Sequence[Dict[int, None]],
     find: Callable[[int], int],
     rank: Callable[[int], int],
     start: int,

@@ -83,9 +83,7 @@ class InductiveGraph(ConstraintGraphBase):
                     if sink is not None:
                         sink.edge("vv", left, right, "cycle")
                     return
-            bucket.add(right)
-            if self._journal_succ is not None:
-                self._journal_succ[left].append(right)
+            bucket[right] = None
             if sink is not None:
                 sink.edge("vv", left, right, "added")
             emit = self.emit
@@ -110,9 +108,7 @@ class InductiveGraph(ConstraintGraphBase):
                     if sink is not None:
                         sink.edge("vv", left, right, "cycle")
                     return
-            bucket.add(left)
-            if self._journal_pred is not None:
-                self._journal_pred[right].append(left)
+            bucket[left] = None
             if sink is not None:
                 sink.edge("vv", left, right, "added")
             emit = self.emit
@@ -131,14 +127,12 @@ class InductiveGraph(ConstraintGraphBase):
         bucket = self.sources[var_index]
         # Single-probe redundancy check (see StandardGraph.add_source).
         size = len(bucket)
-        bucket.add(term)
+        bucket[term] = None
         if len(bucket) == size:
             stats.redundant += 1
             if trace_sink is not None:
                 trace_sink.edge("sv", term, var_index, "redundant")
             return
-        if self._journal_sources is not None:
-            self._journal_sources[var_index].append(term)
         if trace_sink is not None:
             trace_sink.edge("sv", term, var_index, "added")
         emit = self.emit
@@ -156,14 +150,12 @@ class InductiveGraph(ConstraintGraphBase):
             var_index = self.find(var_index)
         bucket = self.sinks[var_index]
         size = len(bucket)
-        bucket.add(term)
+        bucket[term] = None
         if len(bucket) == size:
             stats.redundant += 1
             if trace_sink is not None:
                 trace_sink.edge("vs", var_index, term, "redundant")
             return
-        if self._journal_sinks is not None:
-            self._journal_sinks[var_index].append(term)
         if trace_sink is not None:
             trace_sink.edge("vs", var_index, term, "added")
         emit = self.emit

@@ -71,9 +71,7 @@ class StandardGraph(ConstraintGraphBase):
                         sink.edge("vv", left, right, "cycle")
                     return
                 bucket = self.succ_vars[left]
-        bucket.add(right)
-        if self._journal_succ is not None:
-            self._journal_succ[left].append(right)
+        bucket[right] = None
         if sink is not None:
             sink.edge("vv", left, right, "added")
         emit = self.emit
@@ -88,17 +86,15 @@ class StandardGraph(ConstraintGraphBase):
         if self._uf_parent[var_index] != var_index:
             var_index = self.find(var_index)
         bucket = self.sources[var_index]
-        # Single-probe redundancy check: `add` reports a duplicate
-        # through an unchanged size, sparing the separate `in` lookup.
+        # Single-probe redundancy check: storing a duplicate key leaves
+        # the size unchanged, sparing the separate `in` lookup.
         size = len(bucket)
-        bucket.add(term)
+        bucket[term] = None
         if len(bucket) == size:
             stats.redundant += 1
             if trace_sink is not None:
                 trace_sink.edge("sv", term, var_index, "redundant")
             return
-        if self._journal_sources is not None:
-            self._journal_sources[var_index].append(term)
         if trace_sink is not None:
             trace_sink.edge("sv", term, var_index, "added")
         emit = self.emit
@@ -116,14 +112,12 @@ class StandardGraph(ConstraintGraphBase):
             var_index = self.find(var_index)
         bucket = self.sinks[var_index]
         size = len(bucket)
-        bucket.add(term)
+        bucket[term] = None
         if len(bucket) == size:
             stats.redundant += 1
             if trace_sink is not None:
                 trace_sink.edge("vs", var_index, term, "redundant")
             return
-        if self._journal_sinks is not None:
-            self._journal_sinks[var_index].append(term)
         if trace_sink is not None:
             trace_sink.edge("vs", var_index, term, "added")
         emit = self.emit
@@ -145,8 +139,8 @@ class StandardGraph(ConstraintGraphBase):
         if a collapse has absorbed a source-carrying vertex whose
         bucket migration is still pending on the worklist (``_absorb``
         re-emits absorbed sources as worklist operations rather than
-        moving them synchronously).  Pure read — no counters or
-        journals are touched.
+        moving them synchronously).  Pure read — no counters are
+        touched.
         """
         find = self.find
         sources = self.sources

@@ -5,8 +5,8 @@ configuration, every fuzzed system under every configuration — is
 embarrassingly parallel, and this package shards it across processes
 without giving up the repo's determinism contract: parallel reports are
 byte-identical to serial ones modulo wall-clock fields, because results
-are merged in task submission order and every child runs under a
-pinned ``PYTHONHASHSEED``.
+are merged in task submission order and Work counts do not depend on
+the process that computed them.
 
 Entry points: ``python -m repro.bench --jobs N``, ``python -m
 repro.resilience fuzz --jobs N``,

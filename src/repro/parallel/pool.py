@@ -7,10 +7,7 @@ the repo depends on:
 
 * **Determinism.**  Results are returned in *task submission order*,
   never completion order, so a parallel run assembles the exact same
-  report a serial loop would.  ``PYTHONHASHSEED`` is pinned to ``0``
-  for child interpreters unless the environment already pins it —
-  work counts of the Online configurations are exact cross-process
-  oracles only under a pinned hash seed (see :mod:`repro.bench`).
+  report a serial loop would.
 * **Crash isolation.**  Each in-flight task runs in its own process;
   a worker dying (segfault, OOM-kill) cannot poison a shared pool.
   Crashes and per-task timeouts are retried up to ``retries`` times
@@ -58,8 +55,7 @@ def default_jobs() -> int:
 
 
 def default_start_method() -> str:
-    """``fork`` where available (fast, inherits the pinned hash seed),
-    else ``spawn``."""
+    """``fork`` where available (fast), else ``spawn``."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
@@ -129,19 +125,6 @@ class _Running:
         self.deadline = deadline
 
 
-def _pin_hash_seed() -> None:
-    """Pin ``PYTHONHASHSEED=0`` for child interpreters.
-
-    Work counts of the Online configurations hash-partition sets, so a
-    spawn-started child with a random hash seed would disagree with the
-    parent.  Setting the variable here only affects interpreters
-    started afterwards; fork children inherit the parent's (already
-    initialized) hash state either way.
-    """
-    if os.environ.get("PYTHONHASHSEED") is None:
-        os.environ["PYTHONHASHSEED"] = "0"
-
-
 def run_tasks(
     worker: Callable[[Any], Any],
     tasks: Sequence[TaskSpec],
@@ -150,7 +133,6 @@ def run_tasks(
     progress: Optional[Callable[[TaskResult], None]] = None,
     start_method: Optional[str] = None,
     overall_timeout: Optional[float] = None,
-    pin_hash_seed: bool = True,
 ) -> List[TaskResult]:
     """Run every task through ``worker`` across ``jobs`` processes.
 
@@ -170,8 +152,6 @@ def run_tasks(
     tasks = list(tasks)
     if jobs is None or jobs <= 0:
         jobs = default_jobs()
-    if pin_hash_seed:
-        _pin_hash_seed()
     ctx = multiprocessing.get_context(start_method or default_start_method())
     results: List[Optional[TaskResult]] = [None] * len(tasks)
     queue: deque = deque((index, 1) for index in range(len(tasks)))

@@ -10,7 +10,7 @@ finish the closure.
 What a checkpoint holds (format :data:`CHECKPOINT_VERSION`):
 
 * the pending worklist, in deque order;
-* every adjacency / source / sink set, saved in iteration order;
+* every adjacency / source / sink bucket, saved in insertion order;
 * the union-find parent array and collapsed count;
 * the full :class:`~repro.graph.stats.SolverStats` counter snapshot,
   periodic-sweep position, diagnostics, and the
@@ -22,17 +22,12 @@ What a checkpoint holds (format :data:`CHECKPOINT_VERSION`):
 
 Determinism: a resumed run must reproduce the *exact* final counters of
 an uninterrupted run (the regression tests enforce this against the
-committed benchmark baseline).  Counters depend on set iteration order,
-and a set's iteration order is a function of its *insertion sequence*
-(rebuilding from iteration order is not a fixpoint under hash
-collisions), so checkpointable engines journal every bucket insertion
-(:meth:`~repro.graph.base.ConstraintGraphBase.enable_journal`, enabled
-by ``SolverOptions(checkpointable=True)`` or implied by a budget /
-cancellation token) and :func:`restore` replays each bucket's journal
-into a fresh set — byte-for-byte the same layout the interrupted run
-had.  :func:`capture` refuses engines that ran without journaling.
-Trace sinks are not checkpointed — the restored engine attaches
-whatever sinks the supplied options carry.
+committed benchmark baseline).  Counters depend on bucket iteration
+order; buckets are insertion-ordered ``dict``s, so :func:`capture`
+saves each one as a list and :func:`restore` rebuilds it with
+``dict.fromkeys`` — the same order, whatever the options of the
+captured engine were.  Trace sinks are not checkpointed — the restored
+engine attaches whatever sinks the supplied options carry.
 
 Serialization uses :mod:`pickle` (expressions carry client-chosen label
 objects, which JSON cannot represent in general); treat checkpoint
@@ -70,8 +65,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..solver.options import SolverOptions
 
 #: Format version; bump on any breaking change to the payload shape.
-#: Version 2 dropped the recorded var-edge keys of version 1.
-CHECKPOINT_VERSION = 2
+#: Version 2 dropped the recorded var-edge keys of version 1; version 3
+#: saves insertion-ordered buckets (earlier versions came from
+#: set-ordered graphs and cannot be replayed in the same order).
+CHECKPOINT_VERSION = 3
 
 #: Leading magic in the byte encoding, so stray pickles are rejected.
 _MAGIC = b"repro-ckpt\x00"
@@ -238,22 +235,13 @@ def capture(engine: "SolverEngine") -> EngineCheckpoint:
     graph = engine.graph
     uf = graph.unionfind
     stats = engine.stats
-    if graph._journal_succ is None:
-        raise CheckpointError(
-            "engine state cannot be captured exactly: the run did not "
-            "journal bucket insertions; solve with "
-            "SolverOptions(checkpointable=True) (or a budget / "
-            "cancellation token, which imply it)"
-        )
     state: Dict[str, Any] = {
         "parent": list(uf._parent),
         "collapsed": uf._collapsed,
-        # Journals, not set contents: insertion order is what lets
-        # restore rebuild each set with its exact original layout.
-        "succ": [list(journal) for journal in graph._journal_succ],
-        "pred": [list(journal) for journal in graph._journal_pred],
-        "sources": [list(journal) for journal in graph._journal_sources],
-        "sinks": [list(journal) for journal in graph._journal_sinks],
+        "succ": [list(bucket) for bucket in graph.succ_vars],
+        "pred": [list(bucket) for bucket in graph.pred_vars],
+        "sources": [list(bucket) for bucket in graph.sources],
+        "sinks": [list(bucket) for bucket in graph.sinks],
         "pending": list(engine.pending),
         "since_sweep": engine._since_sweep,
         "stats": {
@@ -367,17 +355,11 @@ def restore(
     # direct aliases (`_uf_parent`) bound at construction.
     uf._parent[:saved_graph_vars] = state["parent"]
     uf._collapsed = state["collapsed"]
-    # The restored engine must itself be checkpointable again.
-    graph.enable_journal()
     for index in range(saved_graph_vars):
-        graph.succ_vars[index] = _rebuild_set(state["succ"][index])
-        graph.pred_vars[index] = _rebuild_set(state["pred"][index])
-        graph.sources[index] = _rebuild_set(state["sources"][index])
-        graph.sinks[index] = _rebuild_set(state["sinks"][index])
-        graph._journal_succ[index] = list(state["succ"][index])
-        graph._journal_pred[index] = list(state["pred"][index])
-        graph._journal_sources[index] = list(state["sources"][index])
-        graph._journal_sinks[index] = list(state["sinks"][index])
+        graph.succ_vars[index] = dict.fromkeys(state["succ"][index])
+        graph.pred_vars[index] = dict.fromkeys(state["pred"][index])
+        graph.sources[index] = dict.fromkeys(state["sources"][index])
+        graph.sinks[index] = dict.fromkeys(state["sinks"][index])
     stats = engine.stats
     for name, value in state["stats"].items():
         setattr(stats, name, value)
@@ -387,18 +369,3 @@ def restore(
     engine.diagnostics[:] = state["diagnostics"]
     engine.status = SolveStatus(state["status"])
     return engine
-
-
-def _rebuild_set(items) -> set:
-    """Rebuild a set by replaying the journaled insertion sequence.
-
-    Element-by-element (never ``set(items)``): the bucket being restored
-    grew one ``add`` at a time, and replaying the same sequence from a
-    fresh set reproduces its internal layout — hence iteration order —
-    exactly.
-    """
-    rebuilt = set()
-    add = rebuilt.add
-    for item in items:
-        add(item)
-    return rebuilt

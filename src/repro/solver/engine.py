@@ -36,7 +36,6 @@ from ..resilience.errors import (
     GraphInvariantError,
     SolveCancelledError,
 )
-from ..trace.sinks import LegacyCallbackSink, combine
 from .options import CyclePolicy, GraphForm, SolverOptions
 from .solution import Solution
 
@@ -62,13 +61,7 @@ class SolverEngine:
         self.stats = SolverStats()
         self.diagnostics: List[ConstraintDiagnostic] = []
         self.pending: Deque[Op] = deque()
-        # The effective sink: the modern event sink, the legacy trace
-        # callable adapted onto the sink API, both (teed), or None.
-        self.sink = combine(
-            options.sink,
-            LegacyCallbackSink(options.trace)
-            if options.trace is not None else None,
-        )
+        self.sink = options.sink
         order = VariableOrder(options.order_spec(), system.num_vars)
         graph_class = (
             StandardGraph
@@ -116,12 +109,6 @@ class SolverEngine:
         #: how the run ended so far; partial statuses are set by the
         #: guarded drain, final statuses by :meth:`_complete`
         self.status = SolveStatus.COMPLETE
-        # Interruptible runs are the ones that get checkpointed, so they
-        # journal bucket insertion order for exact resume.
-        if (options.checkpointable
-                or self._budget is not None
-                or self._cancellation is not None):
-            self.graph.enable_journal()
         if options.alias_map:
             for var_index, witness_index in options.alias_map.items():
                 self.graph.alias(var_index, witness_index)

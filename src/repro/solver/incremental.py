@@ -7,8 +7,11 @@ the graph after each batch) and answers least-solution queries between
 additions.  Batch solving is the special case of one big batch.
 
 Restrictions: the oracle policy needs the final graph and therefore
-cannot run incrementally (use NONE or ONLINE), and variables must be
-created through :meth:`fresh_var` so the graph can grow with them.
+cannot run incrementally (use NONE or ONLINE); each :meth:`add` closes
+the graph without supervision, so solve budgets, cancellation tokens
+and graph audits are refused rather than silently ignored; and
+variables must be created through :meth:`fresh_var` so the graph can
+grow with them.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from ..constraints.errors import ConstraintDiagnostic
 from ..constraints.expressions import SetExpression, Term, Var
 from ..constraints.system import ConstraintSystem
 from ..graph.base import OP_RESOLVE
+from ..resilience.audit import AuditPolicy
 from .engine import SolverEngine
 from .options import CyclePolicy, SolverOptions
 
@@ -34,6 +38,15 @@ class IncrementalSolver:
             raise ValueError(
                 "the oracle needs the complete constraint set; use "
                 "CyclePolicy.NONE or CyclePolicy.ONLINE incrementally"
+            )
+        budget = options.budget
+        if ((budget is not None and budget.bounded)
+                or options.cancellation is not None
+                or AuditPolicy.parse(options.audit).enabled):
+            raise ValueError(
+                "IncrementalSolver.add closes the graph unsupervised: "
+                "budgets, cancellation tokens and audits would never be "
+                "checked; solve the system in batch to use them"
             )
         self.system = ConstraintSystem("incremental")
         self.options = options
@@ -99,8 +112,7 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     def checkpoint(self):
         """Snapshot the engine between batches (see
-        :mod:`repro.resilience.checkpoint`); requires
-        ``SolverOptions(checkpointable=True)``."""
+        :mod:`repro.resilience.checkpoint`)."""
         from ..resilience.checkpoint import capture
 
         return capture(self._engine)

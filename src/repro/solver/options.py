@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..graph.cycles import SearchMode
 from ..graph.order import OrderSpec, RandomOrder
@@ -73,12 +73,6 @@ class SolverOptions:
     periodic_interval: int = 1000
     #: raise InconsistentConstraintError on the first clash
     strict: bool = False
-    #: legacy observer called as trace(event, payload) for the three
-    #: coarse events: "collapse" (a cycle was eliminated), "sweep" (a
-    #: periodic SCC pass ran), "clash" (an inconsistency was recorded).
-    #: New code should attach a :class:`repro.trace.TraceSink` via
-    #: ``sink`` instead; both may be set and both will observe.
-    trace: Optional[Callable[[str, dict], None]] = None
     #: full-fidelity event sink (see :mod:`repro.trace`): edge
     #: insertions, resolutions, partial cycle searches, collapses,
     #: phase spans.  None (the default) disables tracing at the cost of
@@ -107,11 +101,6 @@ class SolverOptions:
     #: input (stale variable indices, arity mismatches) into structured
     #: InvalidSystemError instead of IndexError deep in the graph code
     validate: bool = True
-    #: record bucket insertion order so the engine can be checkpointed
-    #: with exact counter reproduction on resume (see
-    #: :mod:`repro.resilience.checkpoint`); implied by setting a budget
-    #: or cancellation token, since those are how runs get interrupted
-    checkpointable: bool = False
 
     def order_spec(self) -> OrderSpec:
         return self.order if self.order is not None else RandomOrder(self.seed)

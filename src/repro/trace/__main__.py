@@ -19,17 +19,12 @@ Typical uses::
 
     # Convert a saved JSONL log later.
     python -m repro.trace convert compress.jsonl compress.trace.json
-
-Work counters are exact cross-process oracles only under a pinned hash
-seed, so (like ``repro.bench``) the process re-executes itself once with
-``PYTHONHASHSEED=0`` unless a seed is already set.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -43,16 +38,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.trace",
         description="solver event tracing, profiling, and telemetry",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--no-pin-hashseed", action="store_true",
-        help="do not re-exec with PYTHONHASHSEED=0 (work counts of "
-             "Online configurations then vary between processes)",
-    )
     sub = parser.add_subparsers(dest="command")
 
     report = sub.add_parser(
-        "report", parents=[common],
+        "report",
         help="traced suite run with aggregate telemetry (the default)",
     )
     report.add_argument(
@@ -85,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     record = sub.add_parser(
-        "record", parents=[common],
+        "record",
         help="full JSONL event log of one benchmark run",
     )
     record.add_argument("--benchmark", required=True, metavar="NAME")
@@ -121,17 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="downsample high-frequency instants",
     )
     return parser
-
-
-def _repin_hash_seed(argv: List[str]) -> Optional[int]:
-    """Re-exec once with PYTHONHASHSEED=0 unless already pinned."""
-    if os.environ.get("PYTHONHASHSEED") is not None:
-        return None
-    import subprocess
-
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    command = [sys.executable, "-m", "repro.trace", *argv]
-    return subprocess.call(command, env=env)
 
 
 def _check_baseline(report, baseline_path: str) -> int:
@@ -298,10 +276,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             and "--help" not in argv:
         argv = ["report", *argv]
     args = _build_parser().parse_args(argv)
-    if args.command != "convert" and not args.no_pin_hashseed:
-        code = _repin_hash_seed(argv)
-        if code is not None:
-            return code
     if args.command == "report":
         return _cmd_report(args)
     if args.command == "record":

@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import json
 import time
-from typing import Callable, Iterable, List, Optional, Sequence, TextIO
+from typing import Iterable, List, Optional, Sequence, TextIO
 
 from .events import (
     EV_AUDIT,
@@ -110,23 +110,15 @@ class TraceSink:
 NULL_SINK = TraceSink()
 
 
-class CollectorSink(TraceSink):
-    """Record every event in memory as :class:`TraceEvent` objects.
+class _EmittingSink(TraceSink):
+    """Turn every protocol method into one ``_emit(name, **args)`` call.
 
-    Timestamps are ``time.perf_counter()`` relative to construction.
-    Intended for tests, the traced viz renderer, and small recordings —
-    a full medium-suite run emits millions of events; use
-    :class:`repro.trace.histogram.HistogramSink` for those.
+    The in-memory and JSONL sinks record the same events with the same
+    args; sharing this one mapping keeps them from drifting apart.
     """
 
-    def __init__(self) -> None:
-        self.epoch = time.perf_counter()
-        self.events: List[TraceEvent] = []
-
     def _emit(self, _event: str, **args: object) -> None:
-        self.events.append(
-            TraceEvent(_event, time.perf_counter() - self.epoch, args)
-        )
+        raise NotImplementedError
 
     def edge(self, kind, src, dst, outcome):
         self._emit(EV_EDGE, kind=kind, src=src, dst=dst, outcome=outcome)
@@ -173,6 +165,25 @@ class CollectorSink(TraceSink):
 
     def phase_end(self, name):
         self._emit(EV_PHASE_END, name=name)
+
+
+class CollectorSink(_EmittingSink):
+    """Record every event in memory as :class:`TraceEvent` objects.
+
+    Timestamps are ``time.perf_counter()`` relative to construction.
+    Intended for tests, the traced viz renderer, and small recordings —
+    a full medium-suite run emits millions of events; use
+    :class:`repro.trace.histogram.HistogramSink` for those.
+    """
+
+    def __init__(self) -> None:
+        self.epoch = time.perf_counter()
+        self.events: List[TraceEvent] = []
+
+    def _emit(self, _event: str, **args: object) -> None:
+        self.events.append(
+            TraceEvent(_event, time.perf_counter() - self.epoch, args)
+        )
 
 
 class TeeSink(TraceSink):
@@ -234,32 +245,6 @@ class TeeSink(TraceSink):
             sink.close()
 
 
-class LegacyCallbackSink(TraceSink):
-    """Adapt the original ``SolverOptions.trace`` callable onto the sink
-    API.
-
-    The pre-subsystem observer received exactly three events —
-    ``("collapse", {"witness", "members"})``, ``("sweep",
-    {"eliminated"})`` and ``("clash", {"diagnostic"})`` — with these
-    payload shapes; both are preserved verbatim so existing callbacks
-    keep working unchanged.
-    """
-
-    def __init__(self, callback: Callable[[str, dict], None]) -> None:
-        self.callback = callback
-
-    def collapse(self, witness, members):
-        self.callback(
-            "collapse", {"witness": witness, "members": tuple(members)}
-        )
-
-    def sweep(self, eliminated):
-        self.callback("sweep", {"eliminated": eliminated})
-
-    def clash(self, diagnostic):
-        self.callback("clash", {"diagnostic": diagnostic})
-
-
 def _jsonable(value: object) -> object:
     """Terms, diagnostics and set expressions serialize as their str."""
     if isinstance(value, (int, float, str, bool)) or value is None:
@@ -269,7 +254,7 @@ def _jsonable(value: object) -> object:
     return str(value)
 
 
-class JsonlSink(TraceSink):
+class JsonlSink(_EmittingSink):
     """Stream events to a JSON-Lines file, one object per line.
 
     The first line is a meta record ``{"ev": "meta", "schema": 1}``;
@@ -331,44 +316,6 @@ class JsonlSink(TraceSink):
         for key, value in args.items():
             obj[key] = _jsonable(value)
         self._write_line(json.dumps(obj))
-
-    def edge(self, kind, src, dst, outcome):
-        self._emit(EV_EDGE, kind=kind, src=src, dst=dst, outcome=outcome)
-
-    def resolve(self, left, right):
-        self._emit(EV_RESOLVE, left=left, right=right)
-
-    def clash(self, diagnostic):
-        self._emit(
-            EV_CLASH,
-            kind=getattr(diagnostic, "kind", "unknown"),
-            message=str(diagnostic),
-        )
-
-    def search_start(self, start, target):
-        self._emit(EV_SEARCH_START, start=start, target=target)
-
-    def search_visit(self, node):
-        self._emit(EV_SEARCH_VISIT, node=node)
-
-    def search_end(self, found, visits, length):
-        self._emit(EV_SEARCH_END, found=found, visits=visits,
-                   length=length)
-
-    def collapse(self, witness, members):
-        self._emit(EV_COLLAPSE, witness=witness, members=list(members))
-
-    def sweep(self, eliminated):
-        self._emit(EV_SWEEP, eliminated=eliminated)
-
-    def budget_stop(self, reason, limit, value):
-        self._emit(EV_BUDGET_STOP, reason=reason, limit=limit, value=value)
-
-    def phase_begin(self, name):
-        self._emit(EV_PHASE_BEGIN, name=name)
-
-    def phase_end(self, name):
-        self._emit(EV_PHASE_END, name=name)
 
     def close(self):
         if self._file is None:

@@ -1,15 +1,14 @@
 """Exit-code contract of ``python -m repro.bench``.
 
-The tests call ``main`` in-process with ``--no-pin-hashseed`` (the
-re-exec would escape pytest) and a one-experiment slice of the quick
-suite to stay fast.
+The tests call ``main`` in-process on a one-experiment slice of the
+quick suite to stay fast.
 """
 
 import json
 
 from repro.bench.__main__ import main
 
-FAST = ["--no-pin-hashseed", "--experiments", "SF-Plain", "--repeats", "1"]
+FAST = ["--experiments", "SF-Plain", "--repeats", "1"]
 
 
 def run_cli(*extra):
@@ -84,6 +83,5 @@ class TestCli:
         assert "repro_solver_edges_total" in exposition
 
     def test_unknown_experiment_label_exits_two(self, capsys):
-        assert main(["--no-pin-hashseed", "--no-output",
-                     "--experiments", "NOT-A-LABEL"]) == 2
+        assert main(["--no-output", "--experiments", "NOT-A-LABEL"]) == 2
         assert "unknown experiment" in capsys.readouterr().err

@@ -141,6 +141,23 @@ class TestSchemaV2:
         comparison = compare_reports(load_report(str(path)), report)
         assert comparison.ok
 
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("hash_seed", ["0", "12345", "random"])
+    def test_hash_seed_stamp_of_older_reports_ignored(
+            self, report, tmp_path, version, hash_seed):
+        """Reports written while Work depended on the hash seed carry
+        a ``hash_seed`` field; they still load and compare, whatever
+        seed they name."""
+        assert "hash_seed" not in report.to_dict()
+        payload = report.to_dict()
+        payload["schema_version"] = version
+        payload["hash_seed"] = hash_seed
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_report(str(path))
+        assert compare_reports(loaded, report).ok
+        assert compare_reports(report, loaded).ok
+
     def test_committed_baseline_loads(self):
         import os
 
@@ -202,9 +219,5 @@ class TestCompare:
             compare_reports(other, report)
         other = BenchReport.from_dict(report.to_dict())
         other.seed = 7
-        with pytest.raises(IncomparableReportsError):
-            compare_reports(other, report)
-        other = BenchReport.from_dict(report.to_dict())
-        other.hash_seed = "1" if report.hash_seed != "1" else "2"
         with pytest.raises(IncomparableReportsError):
             compare_reports(other, report)

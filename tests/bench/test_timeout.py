@@ -45,7 +45,6 @@ class TestCli:
             "--experiments", "SF-Plain",
             "--repeats", "1",
             "--no-output",
-            "--no-pin-hashseed",
             "--timeout", "0.000001",
         ])
         assert code == 3

@@ -32,12 +32,7 @@ def deterministic_view(report):
 
 
 class TestBenchParity:
-    def test_jobs4_report_matches_serial(self, monkeypatch):
-        # The parallel path pins PYTHONHASHSEED=0 into the environment
-        # for its workers; pin it up front so the serial report records
-        # the same hash_seed metadata (counters are unaffected — fork
-        # workers share the parent's hash state either way).
-        monkeypatch.setenv("PYTHONHASHSEED", "0")
+    def test_jobs4_report_matches_serial(self):
         serial = run_bench("quick", benchmarks=BENCHES, repeats=1)
         parallel = run_bench("quick", benchmarks=BENCHES, repeats=1,
                              jobs=4)
@@ -101,24 +96,22 @@ class TestBenchParity:
         from repro.bench.__main__ import main
 
         code = main([
-            "--no-pin-hashseed", "--no-output", "--jobs", "2",
+            "--no-output", "--jobs", "2",
             "--experiments", "SF-Plain", "--repeats", "1",
             "--timeout", "0.000001",
         ])
         assert code == 3
         assert "timeout" in capsys.readouterr().err
 
-    def test_parallel_cli_report_matches_serial_cli(self, tmp_path,
-                                                    monkeypatch):
+    def test_parallel_cli_report_matches_serial_cli(self, tmp_path):
         from repro.bench.__main__ import main
 
-        monkeypatch.setenv("PYTHONHASHSEED", "0")
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
         serial_dir.mkdir()
         parallel_dir.mkdir()
-        base = ["--no-pin-hashseed", "--experiments", "SF-Online",
-                "IF-Online", "--repeats", "1"]
+        base = ["--experiments", "SF-Online", "IF-Online",
+                "--repeats", "1"]
         assert main([*base, "--out", str(serial_dir)]) == 0
         assert main([*base, "--out", str(parallel_dir),
                      "--jobs", "2"]) == 0

@@ -1,5 +1,7 @@
 """The graph-invariant auditor: policy parsing, clean runs, injected bugs."""
 
+import json
+
 import pytest
 
 from repro import ConstraintSystem
@@ -16,7 +18,7 @@ from repro.resilience.audit import (
 )
 from repro.resilience.errors import ResilienceError
 from repro.solver import SolverEngine, solve
-from repro.trace import CollectorSink
+from repro.trace import CollectorSink, JsonlSink, read_jsonl
 from repro.experiments.config import EXPERIMENT_LABELS, options_for
 from repro.workloads.generator import RandomSystemConfig, random_system
 
@@ -108,6 +110,27 @@ class TestInjectedBug:
         audit_events = [e for e in sink.events if e.name == "audit.failure"]
         assert audit_events
         assert audit_events[0].args["check"] == CHECK_NONREP_STATE
+
+    def test_failures_reach_the_jsonl_trace(self, monkeypatch, tmp_path):
+        self._break_absorb(monkeypatch)
+        path = str(tmp_path / "audit.jsonl")
+        sink = JsonlSink(path)
+        with pytest.raises(GraphInvariantError) as excinfo:
+            solve(cyclic_system(),
+                  options_for("IF-Online", audit="final", sink=sink))
+        sink.close()
+        with open(path, encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
+        raw = [line for line in lines if line["ev"] == "audit.failure"]
+        assert len(raw) == len(excinfo.value.failures)
+        events = [e for e in read_jsonl(path) if e.name == "audit.failure"]
+        assert len(events) == len(raw)
+        first = excinfo.value.failures[0]
+        assert events[0].args == {
+            "check": first.check,
+            "subject": first.subject,
+            "detail": first.detail,
+        }
 
     def test_stride_audit_catches_mid_run(self, monkeypatch):
         self._break_absorb(monkeypatch)

@@ -140,7 +140,7 @@ class TestPartialPolicy:
         """Resuming a partial engine finishes with identical counters."""
         system = make_system()
         baseline = counters_of(
-            solve(system, SolverOptions(checkpointable=True))
+            solve(system, SolverOptions())
         )
         engine = SolverEngine(system, SolverOptions(
             budget=SolveBudget(max_work=30),

@@ -2,11 +2,10 @@
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
+from repro.andersen import analyze_unit
 from repro.bench.measure import counters_of
 from repro.resilience import (
     CHECKPOINT_VERSION,
@@ -18,6 +17,8 @@ from repro.resilience import (
 )
 from repro.solver import SolverEngine, SolverOptions
 from repro.experiments.config import options_for
+from repro.graph.base import OP_RESOLVE
+from repro.workloads import benchmark, suite
 from repro.workloads.generator import RandomSystemConfig, random_system
 
 #: The four directly-engine-drivable configurations (oracle runs go
@@ -42,7 +43,7 @@ def interrupted_counters(system, label, max_work):
     blob = capture(engine).to_bytes()
     resumed = restore(
         system,
-        options_for(label, checkpointable=True),
+        options_for(label),
         EngineCheckpoint.from_bytes(blob),
     )
     return counters_of(resumed.resume()), resumed
@@ -53,7 +54,7 @@ def test_resume_matches_uninterrupted(label):
     """The acceptance property: interrupted == uninterrupted, exactly."""
     system = make_system()
     uninterrupted = SolverEngine(
-        system, options_for(label, checkpointable=True)
+        system, options_for(label)
     ).run()
     got, engine = interrupted_counters(system, label, max_work=40)
     assert got == counters_of(uninterrupted)
@@ -68,7 +69,7 @@ def test_resume_is_cut_point_independent(fraction):
     system = make_system(seed=9)
     expected = counters_of(
         SolverEngine(
-            system, options_for("IF-Online", checkpointable=True)
+            system, options_for("IF-Online")
         ).run()
     )
     cut = max(1, expected["work"] // fraction)
@@ -76,18 +77,40 @@ def test_resume_is_cut_point_independent(fraction):
     assert got == expected
 
 
-def test_capture_requires_journaling():
-    engine = SolverEngine(make_system(), SolverOptions())
-    engine.run()
-    with pytest.raises(CheckpointError, match="journal"):
-        capture(engine)
+def test_plain_options_capture_and_restore():
+    """Any engine can be captured, not just budgeted ones: a plain
+    ``SolverOptions()`` (IF-Online) engine is captured between two
+    batches, and the restored copy finishes the second batch with the
+    same counters and answers as the original.  (On ``ks`` the second
+    batch's Work depends on the order the restored buckets iterate
+    in.)"""
+    system = analyze_unit(benchmark("ks").unit).system
+    half = len(system) // 2
+    rest = system.constraints[half:]
+    del system._constraints[half:]
+    original = SolverEngine(system, SolverOptions())
+    original.run()
+    assert original.stats.vars_eliminated > 0
+    restored = restore(
+        system, SolverOptions(),
+        EngineCheckpoint.from_bytes(capture(original).to_bytes()),
+    )
+    for left, right in rest:
+        system.add(left, right)
+        for engine in (original, restored):
+            engine.pending.append((OP_RESOLVE, left, right))
+    want = original.resume()
+    got = restored.resume()
+    assert counters_of(got) == counters_of(want)
+    for var in system.variables:
+        assert got.least_solution(var) == want.least_solution(var)
 
 
 def test_bytes_rejects_garbage_and_bad_versions():
     with pytest.raises(CheckpointError, match="magic"):
         EngineCheckpoint.from_bytes(b"not a checkpoint")
     engine = SolverEngine(
-        make_system(), SolverOptions(checkpointable=True)
+        make_system(), SolverOptions()
     )
     engine.run()
     checkpoint = capture(engine)
@@ -97,43 +120,57 @@ def test_bytes_rejects_garbage_and_bad_versions():
 
 
 def test_version_1_checkpoints_rejected():
-    """Version 1 carried recorded var-edge keys; this build reads 2."""
-    assert CHECKPOINT_VERSION == 2
+    """Version 1 carried recorded var-edge keys; this build reads 3."""
+    assert CHECKPOINT_VERSION == 3
     system = make_system()
-    engine = SolverEngine(system, SolverOptions(checkpointable=True))
+    engine = SolverEngine(system, SolverOptions())
     engine.run()
     old = capture(engine)
     old.version = 1
     with pytest.raises(CheckpointError, match="version 1"):
         EngineCheckpoint.from_bytes(old.to_bytes())
     with pytest.raises(CheckpointError, match="version 1"):
-        restore(system, SolverOptions(checkpointable=True), old)
+        restore(system, SolverOptions(), old)
+
+
+def test_version_2_checkpoints_rejected():
+    """Version 2 saved buckets in ``set`` order, which depended on the
+    hash seed of the capturing process; it cannot be replayed."""
+    system = make_system()
+    engine = SolverEngine(system, SolverOptions())
+    engine.run()
+    old = capture(engine)
+    old.version = 2
+    with pytest.raises(CheckpointError, match="version 2"):
+        EngineCheckpoint.from_bytes(old.to_bytes())
+    with pytest.raises(CheckpointError, match="version 2"):
+        restore(system, SolverOptions(), old)
 
 
 def test_restore_rejects_mismatched_system():
     system = make_system(seed=5)
-    engine = SolverEngine(system, SolverOptions(checkpointable=True))
+    engine = SolverEngine(system, SolverOptions())
     engine.run()
     checkpoint = capture(engine)
     other = make_system(seed=6)
     with pytest.raises(CheckpointError, match="does not match"):
-        restore(other, SolverOptions(checkpointable=True), checkpoint)
+        restore(other, SolverOptions(), checkpoint)
     with pytest.raises(CheckpointError, match="does not match"):
         restore(
             system,
-            options_for("SF-Plain", checkpointable=True),
+            options_for("SF-Plain"),
             checkpoint,
         )
 
 
 def test_save_load_file_round_trip(tmp_path):
     system = make_system()
-    engine = SolverEngine(system, SolverOptions(checkpointable=True))
+    engine = SolverEngine(system, SolverOptions())
     engine.run()
     path = os.fspath(tmp_path / "run.ckpt")
     capture(engine).save(path)
     loaded = EngineCheckpoint.load(path)
-    resumed = restore(system, SolverOptions(checkpointable=True), loaded)
+    resumed = restore(system, SolverOptions(), loaded)
     assert counters_of(resumed.resume()) == counters_of(
         engine._make_solution(engine._least_solution())
     )
@@ -156,53 +193,33 @@ def test_restored_engine_is_checkpointable_again():
     capture(second)  # must not raise
 
 
-#: Subprocess script: interrupt a baseline benchmark mid-closure,
-#: checkpoint, restore, resume, and compare the final work counters
-#: against the committed benchmarks/BASELINE.json record.  Runs in a
-#: child process because baseline counters are pinned to
-#: PYTHONHASHSEED=0 while the test suite runs under any hash seed.
-_BASELINE_SCRIPT = """
-import json, sys
-from repro.bench.measure import counters_of
-from repro.experiments.config import options_for
-from repro.resilience import (EngineCheckpoint, SolveBudget, capture,
-                              restore)
-from repro.solver import SolverEngine
-from repro.workloads import suite
-
-label, bench_name = sys.argv[1], sys.argv[2]
-baseline = json.load(open("benchmarks/BASELINE.json"))
-record = next(r for r in baseline["records"]
-              if r["benchmark"] == bench_name and r["experiment"] == label)
-system = next(b for b in suite("quick") if b.name == bench_name
-              ).program.system
-engine = SolverEngine(system, options_for(
-    label, budget=SolveBudget(max_work=record["counters"]["work"] // 2),
-    on_budget="partial", check_stride=1,
-))
-assert engine.run().is_partial
-blob = capture(engine).to_bytes()
-resumed = restore(system, options_for(label, checkpointable=True),
-                  EngineCheckpoint.from_bytes(blob))
-got = counters_of(resumed.resume())
-want = record["counters"]
-assert got == want, f"resumed counters {got} != baseline {want}"
-print("ok")
-"""
+def _baseline_record(bench_name, label):
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)))),
+        "benchmarks", "BASELINE.json",
+    )
+    with open(path, encoding="utf-8") as handle:
+        baseline = json.load(handle)
+    return next(r for r in baseline["records"]
+                if r["benchmark"] == bench_name and r["experiment"] == label)
 
 
 @pytest.mark.parametrize("label", ("SF-Online", "IF-Online"))
 def test_resume_reproduces_committed_baseline(label):
-    env = dict(os.environ, PYTHONHASHSEED="0",
-               PYTHONPATH=os.path.join(os.getcwd(), "src"))
-    result = subprocess.run(
-        [sys.executable, "-c", _BASELINE_SCRIPT, label, "allroots"],
-        capture_output=True, text=True, env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__)))),
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ok"
+    """Interrupt a baseline benchmark mid-closure, checkpoint, restore,
+    resume: the final counters equal the committed baseline record."""
+    record = _baseline_record("allroots", label)
+    system = next(b for b in suite("quick") if b.name == "allroots"
+                  ).program.system
+    engine = SolverEngine(system, options_for(
+        label, budget=SolveBudget(max_work=record["counters"]["work"] // 2),
+        on_budget="partial", check_stride=1,
+    ))
+    assert engine.run().is_partial
+    resumed = restore(system, options_for(label),
+                      EngineCheckpoint.from_bytes(capture(engine).to_bytes()))
+    assert counters_of(resumed.resume()) == record["counters"]
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +245,7 @@ def _drive_incremental(form, interrupt):
     """Two batches with cross-batch cycles; optionally checkpoint
     between them, grow the system, and restore before batch two."""
     solver = IncrementalSolver(SolverOptions(
-        form=form, cycles=CyclePolicy.ONLINE, checkpointable=True,
+        form=form, cycles=CyclePolicy.ONLINE,
     ))
     box = solver.constructor("box", (Variance.COVARIANT,))
     first = [solver.fresh_var(f"v{i}") for i in range(6)]
@@ -290,11 +307,11 @@ def test_restore_after_growth_preserves_components():
 def test_restore_rejects_shrunken_system():
     """A checkpoint of MORE variables than the system has is a
     mismatch, not an index error."""
-    solver = IncrementalSolver(SolverOptions(checkpointable=True))
+    solver = IncrementalSolver(SolverOptions())
     solver.fresh_var()
     solver.fresh_var()
     snapshot = solver.checkpoint()
-    fresh = IncrementalSolver(SolverOptions(checkpointable=True))
+    fresh = IncrementalSolver(SolverOptions())
     fresh.fresh_var()
     with pytest.raises(CheckpointError):
         fresh.restore(snapshot)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ConstraintSystem, Variance
+from repro.resilience import CancellationToken, SolveBudget
 from repro.solver import (
     CyclePolicy,
     GraphForm,
@@ -84,6 +85,24 @@ class TestIncremental:
     def test_oracle_rejected(self):
         with pytest.raises(ValueError):
             IncrementalSolver(SolverOptions(cycles=CyclePolicy.ORACLE))
+
+    @pytest.mark.parametrize("unsupervised", [
+        {"budget": SolveBudget(max_work=3)},
+        {"cancellation": CancellationToken()},
+        {"audit": "stride-10"},
+        {"audit": "final"},
+    ], ids=["budget", "cancellation", "stride-audit", "final-audit"])
+    def test_unenforceable_resilience_options_rejected(self, unsupervised):
+        """``add`` closes the graph without budget, cancellation or
+        audit checks, so asking for them is an error, not a no-op."""
+        with pytest.raises(ValueError, match="unsupervised"):
+            IncrementalSolver(SolverOptions(**unsupervised))
+
+    def test_unbounded_budget_accepted(self):
+        solver = IncrementalSolver(SolverOptions(budget=SolveBudget()))
+        x, y = solver.fresh_var(), solver.fresh_var()
+        solver.add(x, y)
+        assert solver.stats.work > 0
 
     def test_diagnostics_accumulate(self):
         solver = make_solver()

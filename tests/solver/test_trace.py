@@ -1,16 +1,15 @@
-"""Tests for the solver trace hook."""
+"""Tests for the coarse solver events seen by a trace sink."""
 
 from repro import ConstraintSystem
 from repro.solver import CyclePolicy, GraphForm, SolverOptions, solve
+from repro.trace import CollectorSink
 
 
 def collect(system, **options):
-    events = []
-    solve(system, SolverOptions(
-        trace=lambda event, payload: events.append((event, payload)),
-        **options,
-    ))
-    return events
+    """``(event name, args)`` pairs a :class:`CollectorSink` recorded."""
+    sink = CollectorSink()
+    solve(system, SolverOptions(sink=sink, **options))
+    return [(event.name, event.args) for event in sink.events]
 
 
 class TestTrace:
@@ -49,7 +48,7 @@ class TestTrace:
         events = collect(system)
         clashes = [e for e in events if e[0] == "clash"]
         assert len(clashes) == 1
-        assert clashes[0][1]["diagnostic"].kind == "constructor-clash"
+        assert clashes[0][1]["kind"] == "constructor-clash"
 
     def test_no_trace_no_overhead(self):
         system = ConstraintSystem()

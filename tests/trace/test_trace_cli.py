@@ -1,13 +1,11 @@
 """Smoke tests for ``python -m repro.trace`` (in-process, like the
-bench CLI tests: ``--no-pin-hashseed`` keeps the re-exec from escaping
-pytest, and runs are restricted to one quick-suite benchmark)."""
+bench CLI tests, and restricted to one quick-suite benchmark)."""
 
 import json
 
 from repro.trace.__main__ import main
 
-FAST = ["--no-pin-hashseed", "--suite", "quick",
-        "--benchmarks", "allroots"]
+FAST = ["--suite", "quick", "--benchmarks", "allroots"]
 
 
 class TestReport:
@@ -44,7 +42,7 @@ class TestReport:
 
         baseline = tmp_path / "BASELINE.json"
         assert bench_main([
-            "--no-pin-hashseed", "--smoke", "--no-output",
+            "--smoke", "--no-output",
             "--repeats", "1", "--experiments", "SF-Online", "IF-Online",
             "--write-baseline", str(baseline),
         ]) == 0
@@ -64,7 +62,7 @@ class TestReport:
         assert "FAILED" in capsys.readouterr().err
 
     def test_unknown_benchmark_exits_two(self, capsys):
-        assert main(["report", "--no-pin-hashseed", "--suite", "quick",
+        assert main(["report", "--suite", "quick",
                      "--benchmarks", "no-such-bench"]) == 2
         assert "no-such-bench" in capsys.readouterr().err
 
@@ -72,7 +70,7 @@ class TestReport:
 class TestRecordAndConvert:
     def test_record_then_convert_round_trips(self, tmp_path, capsys):
         jsonl = tmp_path / "run.jsonl"
-        assert main(["record", "--no-pin-hashseed",
+        assert main(["record",
                      "--benchmark", "allroots", "--suite", "quick",
                      "--experiment", "IF-Online",
                      "--out", str(jsonl)]) == 0
@@ -88,7 +86,7 @@ class TestRecordAndConvert:
         assert "dropped_instants" in document["otherData"]
 
     def test_record_unknown_benchmark_exits_two(self, tmp_path, capsys):
-        assert main(["record", "--no-pin-hashseed",
+        assert main(["record",
                      "--benchmark", "nope", "--suite", "quick",
                      "--out", str(tmp_path / "x.jsonl")]) == 2
         assert "nope" in capsys.readouterr().err
