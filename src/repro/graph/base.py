@@ -24,7 +24,6 @@ Work metric (one unit per processed operation) well defined.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
@@ -36,10 +35,8 @@ from typing import (
 )
 
 from ..constraints.expressions import Term
+from ..trace.sinks import TraceSink, hook
 from .cycles import SearchMode, find_chain_path
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace ← graph)
-    from ..trace.sinks import TraceSink
 from .order import VariableOrder
 from .stats import SolverStats
 from .unionfind import UnionFind
@@ -69,7 +66,7 @@ class ConstraintGraphBase:
         online_cycles: bool = False,
         search_mode: SearchMode = SearchMode.DECREASING,
         max_search_visits: Optional[int] = None,
-        sink: Optional["TraceSink"] = None,
+        sink: Optional[TraceSink] = None,
     ) -> None:
         self.num_vars = num_vars
         self.order = order
@@ -79,6 +76,13 @@ class ConstraintGraphBase:
         self.search_mode = search_mode
         self.max_search_visits = max_search_visits
         self.sink = sink
+        # Per-unit events go only to a sink that overrides them; call
+        # sites test these for None.
+        self._on_edge = hook(sink, "edge")
+        self._on_collapse = hook(sink, "collapse")
+        self._on_search_start = hook(sink, "search_start")
+        self._on_search_visit = hook(sink, "search_visit")
+        self._on_search_end = hook(sink, "search_end")
         self.unionfind = UnionFind(num_vars)
         # Hot-path bindings: `find` and `rank` are called several times
         # per worklist operation, so shadow the convenience methods below
@@ -167,8 +171,8 @@ class ConstraintGraphBase:
                 nodes.append(node)
         witness = min(nodes, key=self.rank)
         self.stats.cycles_found += 1
-        if self.sink is not None and len(nodes) > 1:
-            self.sink.collapse(witness, tuple(nodes))
+        if self._on_collapse is not None and len(nodes) > 1:
+            self._on_collapse(witness, tuple(nodes))
         for node in nodes:
             if node != witness:
                 self._absorb(node, witness)
@@ -235,7 +239,9 @@ class ConstraintGraphBase:
             mode,
             self.stats,
             self.max_search_visits,
-            self.sink,
+            self._on_search_start,
+            self._on_search_visit,
+            self._on_search_end,
         )
         if path is None:
             return False

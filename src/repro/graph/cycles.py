@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -28,9 +27,6 @@ from typing import (
 )
 
 from .stats import SolverStats
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace ← graph)
-    from ..trace.sinks import TraceSink
 
 
 class SearchMode(enum.Enum):
@@ -51,7 +47,9 @@ def find_chain_path(
     mode: SearchMode,
     stats: SolverStats,
     max_visits: Optional[int] = None,
-    sink: Optional["TraceSink"] = None,
+    on_start: Optional[Callable[[int, int], None]] = None,
+    on_visit: Optional[Callable[[int], None]] = None,
+    on_end: Optional[Callable[[bool, int, int], None]] = None,
 ) -> Optional[List[int]]:
     """Search for a chain from ``start`` to ``target``.
 
@@ -62,19 +60,18 @@ def find_chain_path(
     (representatives, each vertex once) or ``None`` when no chain was
     found within the optional visit budget.
 
-    When a trace ``sink`` is attached the search reports
-    ``search.start``, one ``search.visit`` per popped node, and a
-    closing ``search.end`` carrying the visit count and (on a hit) the
-    cycle length; with ``sink=None`` the instrumentation is a local
-    ``None`` check per visit.
+    The optional hooks are a trace sink's ``search_start``,
+    ``search_visit`` (one call per popped node) and ``search_end``
+    (visit count and, on a hit, cycle length) methods; each one left
+    ``None`` costs a local ``None`` check.
     """
     stats.cycle_searches += 1
-    if sink is not None:
-        sink.search_start(start, target)
+    if on_start is not None:
+        on_start(start, target)
     if start == target:
         # A self-constraint; nothing to collapse beyond the vertex itself.
-        if sink is not None:
-            sink.search_end(True, 0, 1)
+        if on_end is not None:
+            on_end(True, 0, 1)
         return [start]
     decreasing = mode is SearchMode.DECREASING
     visited: Set[int] = {start}
@@ -87,8 +84,8 @@ def find_chain_path(
     while stack:
         current = stack_pop()
         visits += 1
-        if sink is not None:
-            sink.search_visit(current)
+        if on_visit is not None:
+            on_visit(current)
         if max_visits is not None and visits > max_visits:
             break
         current_rank = rank(current)
@@ -108,13 +105,13 @@ def find_chain_path(
             if neighbour == target:
                 stats.cycle_search_visits += visits
                 path = _reconstruct(parent, start, target)
-                if sink is not None:
-                    sink.search_end(True, visits, len(path))
+                if on_end is not None:
+                    on_end(True, visits, len(path))
                 return path
             stack_append(neighbour)
     stats.cycle_search_visits += visits
-    if sink is not None:
-        sink.search_end(False, visits, 0)
+    if on_end is not None:
+        on_end(False, visits, 0)
     return None
 
 

@@ -54,7 +54,7 @@ class InductiveGraph(ConstraintGraphBase):
         """
         stats = self.stats
         stats.work += 1
-        sink = self.sink
+        on_edge = self._on_edge
         parent = self._uf_parent
         if parent[left] != left:
             left = self.find(left)
@@ -62,8 +62,8 @@ class InductiveGraph(ConstraintGraphBase):
             right = self.find(right)
         if left == right:
             stats.self_edges += 1
-            if sink is not None:
-                sink.edge("vv", left, right, "self")
+            if on_edge is not None:
+                on_edge("vv", left, right, "self")
             return
         ranks = self._ranks
         if ranks[left] > ranks[right]:
@@ -71,8 +71,8 @@ class InductiveGraph(ConstraintGraphBase):
             bucket = self.succ_vars[left]
             if right in bucket:
                 stats.redundant += 1
-                if sink is not None:
-                    sink.edge("vv", left, right, "redundant")
+                if on_edge is not None:
+                    on_edge("vv", left, right, "redundant")
                 return
             if self.online_cycles:
                 # A predecessor chain right -> ... -> left plus the new
@@ -80,12 +80,12 @@ class InductiveGraph(ConstraintGraphBase):
                 if self._search_and_collapse(
                     self.pred_vars, left, right, SearchMode.DECREASING
                 ):
-                    if sink is not None:
-                        sink.edge("vv", left, right, "cycle")
+                    if on_edge is not None:
+                        on_edge("vv", left, right, "cycle")
                     return
             bucket[right] = None
-            if sink is not None:
-                sink.edge("vv", left, right, "added")
+            if on_edge is not None:
+                on_edge("vv", left, right, "added")
             emit = self.emit
             for pred in self.pred_vars[left]:
                 emit((OP_VAR_VAR, pred, right))
@@ -96,8 +96,8 @@ class InductiveGraph(ConstraintGraphBase):
             bucket = self.pred_vars[right]
             if left in bucket:
                 stats.redundant += 1
-                if sink is not None:
-                    sink.edge("vv", left, right, "redundant")
+                if on_edge is not None:
+                    on_edge("vv", left, right, "redundant")
                 return
             if self.online_cycles:
                 # A successor chain right -> ... -> left plus the new
@@ -105,12 +105,12 @@ class InductiveGraph(ConstraintGraphBase):
                 if self._search_and_collapse(
                     self.succ_vars, right, left, SearchMode.DECREASING
                 ):
-                    if sink is not None:
-                        sink.edge("vv", left, right, "cycle")
+                    if on_edge is not None:
+                        on_edge("vv", left, right, "cycle")
                     return
             bucket[left] = None
-            if sink is not None:
-                sink.edge("vv", left, right, "added")
+            if on_edge is not None:
+                on_edge("vv", left, right, "added")
             emit = self.emit
             for succ in self.succ_vars[right]:
                 emit((OP_VAR_VAR, left, succ))
@@ -121,7 +121,7 @@ class InductiveGraph(ConstraintGraphBase):
         """Process ``c(...) <= X`` (sources sit in predecessor position)."""
         stats = self.stats
         stats.work += 1
-        trace_sink = self.sink
+        on_edge = self._on_edge
         if self._uf_parent[var_index] != var_index:
             var_index = self.find(var_index)
         bucket = self.sources[var_index]
@@ -130,11 +130,11 @@ class InductiveGraph(ConstraintGraphBase):
         bucket[term] = None
         if len(bucket) == size:
             stats.redundant += 1
-            if trace_sink is not None:
-                trace_sink.edge("sv", term, var_index, "redundant")
+            if on_edge is not None:
+                on_edge("sv", term, var_index, "redundant")
             return
-        if trace_sink is not None:
-            trace_sink.edge("sv", term, var_index, "added")
+        if on_edge is not None:
+            on_edge("sv", term, var_index, "added")
         emit = self.emit
         for succ in self.succ_vars[var_index]:
             emit((OP_SOURCE, term, succ))
@@ -145,7 +145,7 @@ class InductiveGraph(ConstraintGraphBase):
         """Process ``X <= c(...)`` (sinks sit in successor position)."""
         stats = self.stats
         stats.work += 1
-        trace_sink = self.sink
+        on_edge = self._on_edge
         if self._uf_parent[var_index] != var_index:
             var_index = self.find(var_index)
         bucket = self.sinks[var_index]
@@ -153,11 +153,11 @@ class InductiveGraph(ConstraintGraphBase):
         bucket[term] = None
         if len(bucket) == size:
             stats.redundant += 1
-            if trace_sink is not None:
-                trace_sink.edge("vs", var_index, term, "redundant")
+            if on_edge is not None:
+                on_edge("vs", var_index, term, "redundant")
             return
-        if trace_sink is not None:
-            trace_sink.edge("vs", var_index, term, "added")
+        if on_edge is not None:
+            on_edge("vs", var_index, term, "added")
         emit = self.emit
         for pred in self.pred_vars[var_index]:
             emit((OP_SINK, pred, term))

@@ -37,7 +37,7 @@ class StandardGraph(ConstraintGraphBase):
         """Process the atomic constraint ``X <= Y`` (a successor edge)."""
         stats = self.stats
         stats.work += 1
-        sink = self.sink
+        on_edge = self._on_edge
         parent = self._uf_parent
         find = self.find
         if parent[left] != left:
@@ -46,14 +46,14 @@ class StandardGraph(ConstraintGraphBase):
             right = find(right)
         if left == right:
             stats.self_edges += 1
-            if sink is not None:
-                sink.edge("vv", left, right, "self")
+            if on_edge is not None:
+                on_edge("vv", left, right, "self")
             return
         bucket = self.succ_vars[left]
         if right in bucket:
             stats.redundant += 1
-            if sink is not None:
-                sink.edge("vv", left, right, "redundant")
+            if on_edge is not None:
+                on_edge("vv", left, right, "redundant")
             return
         if self.online_cycles:
             # Search for a successor chain right -> ... -> left; together
@@ -67,13 +67,13 @@ class StandardGraph(ConstraintGraphBase):
                 left = find(left)
                 right = find(right)
                 if left == right:
-                    if sink is not None:
-                        sink.edge("vv", left, right, "cycle")
+                    if on_edge is not None:
+                        on_edge("vv", left, right, "cycle")
                     return
                 bucket = self.succ_vars[left]
         bucket[right] = None
-        if sink is not None:
-            sink.edge("vv", left, right, "added")
+        if on_edge is not None:
+            on_edge("vv", left, right, "added")
         emit = self.emit
         for term in self.sources[left]:
             emit((OP_SOURCE, term, right))
@@ -82,7 +82,7 @@ class StandardGraph(ConstraintGraphBase):
         """Process ``c(...) <= X``: record and propagate forward."""
         stats = self.stats
         stats.work += 1
-        trace_sink = self.sink
+        on_edge = self._on_edge
         if self._uf_parent[var_index] != var_index:
             var_index = self.find(var_index)
         bucket = self.sources[var_index]
@@ -92,11 +92,11 @@ class StandardGraph(ConstraintGraphBase):
         bucket[term] = None
         if len(bucket) == size:
             stats.redundant += 1
-            if trace_sink is not None:
-                trace_sink.edge("sv", term, var_index, "redundant")
+            if on_edge is not None:
+                on_edge("sv", term, var_index, "redundant")
             return
-        if trace_sink is not None:
-            trace_sink.edge("sv", term, var_index, "added")
+        if on_edge is not None:
+            on_edge("sv", term, var_index, "added")
         emit = self.emit
         for succ in self.succ_vars[var_index]:
             emit((OP_SOURCE, term, succ))
@@ -107,7 +107,7 @@ class StandardGraph(ConstraintGraphBase):
         """Process ``X <= c(...)``: record and resolve against sources."""
         stats = self.stats
         stats.work += 1
-        trace_sink = self.sink
+        on_edge = self._on_edge
         if self._uf_parent[var_index] != var_index:
             var_index = self.find(var_index)
         bucket = self.sinks[var_index]
@@ -115,11 +115,11 @@ class StandardGraph(ConstraintGraphBase):
         bucket[term] = None
         if len(bucket) == size:
             stats.redundant += 1
-            if trace_sink is not None:
-                trace_sink.edge("vs", var_index, term, "redundant")
+            if on_edge is not None:
+                on_edge("vs", var_index, term, "redundant")
             return
-        if trace_sink is not None:
-            trace_sink.edge("vs", var_index, term, "added")
+        if on_edge is not None:
+            on_edge("vs", var_index, term, "added")
         emit = self.emit
         for source in self.sources[var_index]:
             emit((OP_RESOLVE, source, term))
@@ -127,9 +127,6 @@ class StandardGraph(ConstraintGraphBase):
     # ------------------------------------------------------------------
     # Least solution: explicit in SF.
     # ------------------------------------------------------------------
-    def least_solution_of(self, var_index: int) -> frozenset:
-        return frozenset(self.sources[self.find(var_index)])
-
     def compute_least_solution(self) -> Dict[int, FrozenSet[Term]]:
         """``LS`` for every representative — explicit in standard form.
 

@@ -60,6 +60,13 @@ class SolverStats:
     final_source_edges: int = 0
     final_sink_edges: int = 0
 
+    def since(self, before: "SolverStats") -> "SolverStats":
+        """Field-wise ``self - before``: the counters of one segment."""
+        return SolverStats(*(
+            getattr(self, f.name) - getattr(before, f.name)
+            for f in fields(self)
+        ))
+
     def finalize_edges(self, var_var: int, source: int, sink: int) -> None:
         self.final_var_var_edges = var_var
         self.final_source_edges = source

@@ -15,8 +15,9 @@ service is monitored through:
   flush-to-file for batch runs.
 * **Sink** (:mod:`repro.metrics.sink`): :class:`MetricsSink` adapts
   the registry onto the :class:`repro.trace.sinks.TraceSink` protocol,
-  so metrics reuse the solver's existing instrumentation points and
-  disabled metrics keep the one-attribute-check overhead guarantee.
+  so metrics reuse the solver's existing instrumentation points; its
+  counters are folded from ``SolverStats`` once per solve segment, so
+  enabled metrics add no per-operation work.
 * **Exporters** (:mod:`repro.metrics.exposition`,
   :mod:`repro.metrics.server`): exposition rendering + validation and
   a stdlib-only HTTP scrape endpoint

@@ -25,7 +25,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..trace.buckets import bucket_floor, bucket_rows, cumulative_bounds
 
@@ -248,8 +248,3 @@ class Family:
             else:
                 child.set(float(row["value"]))
 
-
-def instrument_value(child: object) -> Optional[float]:
-    """The scalar value of a counter/gauge child (None for histograms)."""
-    to_value = getattr(child, "to_value", None)
-    return to_value() if to_value is not None else None

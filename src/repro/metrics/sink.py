@@ -12,14 +12,17 @@ Overhead:
 
 * **No sink attached** — the solver pays one attribute check per
   operation, exactly as before; metrics code is never reached.
-* **Sink attached, registry disabled** — every event method returns
-  after one attribute read (``registry.enabled``); instruments are
-  registered but receive nothing, and deterministic solver counters
-  are byte-identical to an untraced run (tested against
-  ``benchmarks/BASELINE.json``).
-* **Sink attached, registry enabled** — label resolution happened at
-  construction: each event is a dict-cached child lookup plus a couple
-  of integer adds.
+* **Sink attached** — the sink overrides no per-unit event, so the
+  solver sends it none (see :func:`repro.trace.sinks.hook`).  Every
+  counter ``SolverStats`` already keeps (edges by outcome, resolutions,
+  clashes, searches, collapses, variables eliminated) is folded once
+  per solve segment from ``segment_end``; only the distributions
+  (``search_end``), rare events (sweeps, audit failures, budget stops)
+  and phases arrive per event.
+* **Registry disabled** — every event method returns after one
+  attribute read (``registry.enabled``); instruments are registered but
+  receive nothing, and deterministic solver counters are byte-identical
+  to an untraced run (tested against ``benchmarks/BASELINE.json``).
 
 Every instrument carries the base labels ``form`` (``SF``/``IF``),
 ``mode`` (the cycle policy: ``plain``/``online``/``oracle``/
@@ -31,9 +34,9 @@ the full catalog.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..trace.sinks import TraceSink
+from ..trace.sinks import TraceSink, edge_outcomes
 from .registry import MetricsRegistry, default_registry
 
 if TYPE_CHECKING:  # pragma: no cover - avoid solver <-> metrics cycle
@@ -52,10 +55,6 @@ class MetricsSink(TraceSink):
         if registry is None:
             registry = default_registry()
         self.registry = registry
-        self.labels: Dict[str, str] = {
-            "form": form, "mode": mode, "suite": suite,
-            "benchmark": benchmark,
-        }
         base = (form, mode, suite, benchmark)
         reg = registry
 
@@ -67,13 +66,12 @@ class MetricsSink(TraceSink):
 
         self._edges = counter(
             "repro_solver_edges_total",
-            "Attempted atomic edge additions by kind and outcome; "
-            "summed over outcomes this is the paper's Work metric "
-            "(Tables 2 and 3).",
-            ("kind", "outcome"),
+            "Attempted atomic edge additions by outcome; summed over "
+            "outcomes this is the paper's Work metric (Tables 2 and 3).",
+            ("outcome",),
         )
-        #: (kind, outcome) -> prebound counter child
-        self._edge_children: Dict[Tuple[str, str], object] = {}
+        #: search hits since the last segment end (the "cycle" outcome)
+        self._segment_hits = 0
         self._resolutions = counter(
             "repro_solver_resolutions_total",
             "Applications of the resolution rules R.",
@@ -122,20 +120,17 @@ class MetricsSink(TraceSink):
             "Graph-invariant audit failures, by failed check.",
             ("check",),
         )
-        self._audit_children: Dict[str, object] = {}
         self._budget_stops = counter(
             "repro_solver_budget_stops_total",
             "Guarded drains stopped early, by reason "
             "(work/deadline/edges/cancelled).",
             ("reason",),
         )
-        self._budget_children: Dict[str, object] = {}
         self._phase_seconds = counter(
             "repro_solver_phase_seconds_total",
             "Wall-clock seconds spent per solver phase.",
             ("phase",),
         )
-        self._phase_children: Dict[str, object] = {}
         self._base = base
         self._open_phases: List[Tuple[str, float]] = []
 
@@ -154,30 +149,18 @@ class MetricsSink(TraceSink):
         )
 
     # -- events ---------------------------------------------------------
-    def edge(self, kind, src, dst, outcome):
+    def segment_end(self, stats, graph):
         if not self.registry.enabled:
             return
-        key = (kind, outcome)
-        child = self._edge_children.get(key)
-        if child is None:
-            child = self._edges.labels(*self._base, kind, outcome)
-            self._edge_children[key] = child
-        child.value += 1.0
-
-    def resolve(self, left, right):
-        if not self.registry.enabled:
-            return
-        self._resolutions.value += 1.0
-
-    def clash(self, diagnostic):
-        if not self.registry.enabled:
-            return
-        self._clashes.value += 1.0
-
-    def search_start(self, start, target):
-        if not self.registry.enabled:
-            return
-        self._searches.value += 1.0
+        for outcome, count in edge_outcomes(
+                stats, self._segment_hits).items():
+            self._edges.labels(*self._base, outcome).inc(count)
+        self._segment_hits = 0
+        self._resolutions.value += stats.resolutions
+        self._clashes.value += stats.clashes
+        self._searches.value += stats.cycle_searches
+        self._collapses.value += stats.cycles_found
+        self._vars_eliminated.value += stats.vars_eliminated
 
     def search_end(self, found, visits, length):
         if not self.registry.enabled:
@@ -185,15 +168,8 @@ class MetricsSink(TraceSink):
         self._search_visits.observe(visits)
         if found:
             self._search_hits.value += 1.0
+            self._segment_hits += 1
             self._cycle_length.observe(length)
-
-    def collapse(self, witness, members):
-        if not self.registry.enabled:
-            return
-        self._collapses.value += 1.0
-        eliminated = len(members) - 1
-        if eliminated > 0:
-            self._vars_eliminated.value += float(eliminated)
 
     def sweep(self, eliminated):
         if not self.registry.enabled:
@@ -205,20 +181,12 @@ class MetricsSink(TraceSink):
         if not self.registry.enabled:
             return
         check = str(getattr(failure, "check", "unknown"))
-        child = self._audit_children.get(check)
-        if child is None:
-            child = self._audit_failures.labels(*self._base, check)
-            self._audit_children[check] = child
-        child.value += 1.0
+        self._audit_failures.labels(*self._base, check).inc()
 
     def budget_stop(self, reason, limit, value):
         if not self.registry.enabled:
             return
-        child = self._budget_children.get(reason)
-        if child is None:
-            child = self._budget_stops.labels(*self._base, reason)
-            self._budget_children[reason] = child
-        child.value += 1.0
+        self._budget_stops.labels(*self._base, reason).inc()
 
     def phase_begin(self, name):
         if not self.registry.enabled:
@@ -233,11 +201,9 @@ class MetricsSink(TraceSink):
             open_name, began = self._open_phases[index]
             if open_name == name:
                 del self._open_phases[index]
-                child = self._phase_children.get(name)
-                if child is None:
-                    child = self._phase_seconds.labels(*self._base, name)
-                    self._phase_children[name] = child
-                child.value += now - began
+                self._phase_seconds.labels(*self._base, name).inc(
+                    now - began
+                )
                 return
         # Unmatched end (e.g. the registry was enabled mid-phase):
         # observe nothing — metrics must never take the solver down.

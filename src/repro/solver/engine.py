@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, FrozenSet, List, Tuple
+from dataclasses import replace
+from typing import Callable, Deque, Dict, FrozenSet, List, Tuple, TypeVar
 
 from ..constraints.errors import ConstraintDiagnostic
 from ..constraints.expressions import SetExpression, Term
@@ -36,8 +37,11 @@ from ..resilience.errors import (
     GraphInvariantError,
     SolveCancelledError,
 )
+from ..trace.sinks import hook
 from .options import CyclePolicy, GraphForm, SolverOptions
 from .solution import Solution
+
+T = TypeVar("T")
 
 
 class SolverEngine:
@@ -62,6 +66,8 @@ class SolverEngine:
         self.diagnostics: List[ConstraintDiagnostic] = []
         self.pending: Deque[Op] = deque()
         self.sink = options.sink
+        self._on_resolve = hook(self.sink, "resolve")
+        self._on_segment_end = hook(self.sink, "segment_end")
         order = VariableOrder(options.order_spec(), system.num_vars)
         graph_class = (
             StandardGraph
@@ -121,7 +127,7 @@ class SolverEngine:
         append = self.pending.append
         for left, right in self.system.constraints:
             append((OP_RESOLVE, left, right))
-        return self._complete()
+        return self._segment(self._complete)
 
     def resume(self) -> Solution:
         """Finish a run from the engine's current state.
@@ -133,7 +139,19 @@ class SolverEngine:
         so each resume gets a fresh allowance and makes progress.
         """
         self.status = SolveStatus.COMPLETE
-        return self._complete()
+        return self._segment(self._complete)
+
+    def _segment(self, body: Callable[[], T]) -> T:
+        """Run ``body`` as one solve segment, then — even if it raised —
+        fold the segment's counter delta into the sink."""
+        on_segment_end = self._on_segment_end
+        if on_segment_end is None:
+            return body()
+        before = replace(self.stats)
+        try:
+            return body()
+        finally:
+            on_segment_end(self.stats.since(before), self.graph)
 
     def _complete(self) -> Solution:
         """Drain the pending worklist, finalize, and build the solution."""
@@ -324,17 +342,17 @@ class SolverEngine:
     def _resolve(self, left: SetExpression, right: SetExpression) -> None:
         """Apply the resolution rules R and enqueue the atomic results."""
         self.stats.resolutions += 1
-        sink = self.sink
-        if sink is not None:
-            sink.resolve(left, right)
+        on_resolve = self._on_resolve
+        if on_resolve is not None:
+            on_resolve(left, right)
         atoms: List[Tuple[str, object, object]] = []
         before = len(self.diagnostics)
         decompose(left, right, atoms, self.diagnostics)
         new_clashes = len(self.diagnostics) - before
         self.stats.clashes += new_clashes
-        if new_clashes and sink is not None:
+        if new_clashes and self.sink is not None:
             for diagnostic in self.diagnostics[before:]:
-                sink.clash(diagnostic)
+                self.sink.clash(diagnostic)
         append = self.pending.append
         for tag, a, b in atoms:
             if tag == OP_VAR_VAR:

@@ -81,11 +81,15 @@ class IncrementalSolver:
     def add(self, left: SetExpression, right: SetExpression) -> None:
         """Add one constraint and immediately close the graph."""
         self.system.add(left, right)
-        started = time.perf_counter()
         self._engine.pending.append((OP_RESOLVE, left, right))
+        self._engine._segment(self._close)
+        self._least = None  # invalidate
+
+    def _close(self) -> None:
+        """Drain the pending worklist: one solve segment."""
+        started = time.perf_counter()
         self._engine._drain()
         self._engine.stats.closure_seconds += time.perf_counter() - started
-        self._least = None  # invalidate
 
     def add_all(self, pairs) -> None:
         for left, right in pairs:

@@ -20,7 +20,8 @@ We realize the oracle in two phases:
 
 Phase 2's statistics are the oracle numbers; phase 1 is attached to the
 returned solution for inspection but its cost is *not* charged to the
-oracle (matching the paper's zero-cost idealization).
+oracle (matching the paper's zero-cost idealization) — neither in the
+solution's statistics nor in the counters a sink folds.
 """
 
 from __future__ import annotations
@@ -36,9 +37,13 @@ def solve_with_oracle(
     system: ConstraintSystem, options: SolverOptions
 ) -> Solution:
     """Run the two-phase oracle experiment for ``options.form``."""
-    phase1 = SolverEngine(system, options.replace(
+    phase1_engine = SolverEngine(system, options.replace(
         form=GraphForm.STANDARD, cycles=CyclePolicy.NONE, alias_map=None,
-    )).run()
+    ))
+    # Not charged to the oracle: the sink sees phase 1's phases and
+    # events, but folds no counters from it.
+    phase1_engine._on_segment_end = None
+    phase1 = phase1_engine.run()
     mapping = witness_map(
         range(system.num_vars), phase1.graph.var_var_edges()
     )

@@ -50,7 +50,6 @@ from .sinks import (
     TeeSink,
     TraceSink,
     combine,
-    events_to_jsonl_text,
     read_jsonl,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "convert_jsonl",
     "events_from_chrome",
     "events_to_chrome",
-    "events_to_jsonl_text",
     "read_jsonl",
     "spans_to_chrome",
     "write_chrome",

@@ -24,6 +24,8 @@ event                args
 ``audit.failure``    ``check``, ``subject`` (variable id), ``detail``
 ``budget.stop``      ``reason`` ("work"/"deadline"/"edges"/"cancelled"),
                      ``limit``, ``value``
+``segment.end``      the segment's counter delta, keyed as
+                     :meth:`repro.graph.stats.SolverStats.as_dict`
 ===================  ==================================================
 
 ``edge`` outcomes follow the Work-metric accounting of
@@ -31,6 +33,13 @@ event                args
 emits one event; ``redundant`` and ``self`` mirror the same-named
 counters, and ``cycle`` marks an insertion consumed by an online
 collapse instead of landing in the graph.
+
+``segment.end`` closes one solve segment (a ``SolverEngine`` run or
+resume, raised and partial exits included, or one
+``IncrementalSolver.add``).  Sinks that only count read every counter
+``SolverStats`` keeps from it, once per segment, instead of counting
+the per-unit events.  Each method name is its event name with ``.``
+replaced by ``_`` (:data:`EVENT_METHODS`).
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ EV_PHASE_BEGIN = "phase.begin"
 EV_PHASE_END = "phase.end"
 EV_AUDIT = "audit.failure"
 EV_BUDGET_STOP = "budget.stop"
+EV_SEGMENT_END = "segment.end"
 
 #: Every event name, in documentation order.
 EVENT_NAMES = (
@@ -65,11 +75,11 @@ EVENT_NAMES = (
     EV_PHASE_END,
     EV_AUDIT,
     EV_BUDGET_STOP,
+    EV_SEGMENT_END,
 )
 
-#: Events that open/close a duration span in the Chrome trace export.
-SPAN_BEGIN_EVENTS = {EV_PHASE_BEGIN: "phase", EV_SEARCH_START: "search"}
-SPAN_END_EVENTS = {EV_PHASE_END: "phase", EV_SEARCH_END: "search"}
+#: The :class:`~repro.trace.sinks.TraceSink` method of each event.
+EVENT_METHODS = tuple(name.replace(".", "_") for name in EVENT_NAMES)
 
 
 @dataclass(frozen=True)
@@ -83,12 +93,6 @@ class TraceEvent:
     name: str
     ts: float
     args: Dict[str, object] = field(default_factory=dict)
-
-    def to_jsonl_obj(self) -> Dict[str, object]:
-        """The flat JSONL representation (``ev``/``ts`` + args)."""
-        obj: Dict[str, object] = {"ev": self.name, "ts": self.ts}
-        obj.update(self.args)
-        return obj
 
     @classmethod
     def from_jsonl_obj(cls, obj: Dict[str, object]) -> "TraceEvent":

@@ -9,8 +9,10 @@ evaluation reasons about — the *mean* partial-search visit count
 while adding O(1) work and O(log max) memory per stream.
 
 :class:`HistogramSink` is the trace sink that feeds these histograms
-from live solver events and also accumulates per-phase wall-time spans,
-so one cheap sink yields both the distribution telemetry and a profile.
+from the solver's distribution events, folds its counts from each
+segment's ``SolverStats`` and also accumulates per-phase wall-time
+spans, so one cheap sink yields both the distribution telemetry and a
+profile.
 
 Bucket boundaries come from :mod:`repro.trace.buckets`, the scheme
 shared with :class:`repro.metrics.instruments.Histogram` — trace
@@ -21,10 +23,11 @@ sample lands.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from .buckets import EXACT_LIMIT, bucket_floor, bucket_rows
-from .sinks import TraceSink
+from .sinks import TraceSink, edge_outcomes
 
 __all__ = ["EXACT_LIMIT", "HistogramSink", "OnlineHistogram"]
 
@@ -123,6 +126,24 @@ class OnlineHistogram:
         )
 
 
+def _out_degree_histogram(graph) -> OnlineHistogram:
+    """Per-variable var-var out-degree of ``graph``'s stored edges.
+
+    Edges are read through ``find`` and deduplicated, self loops
+    dropped; variables without outgoing edges are not counted.  On a
+    Plain run nothing collapses, so this is the out-degree of the
+    "added" var-var edges.
+    """
+    find = graph.find
+    edges = {(find(left), find(right))
+             for left, right in graph.var_var_edges()}
+    degrees = Counter(left for left, right in edges if left != right)
+    hist = OnlineHistogram()
+    for degree in degrees.values():
+        hist.add(degree)
+    return hist
+
+
 class HistogramSink(TraceSink):
     """Constant-memory telemetry sink: distributions, counts, phases.
 
@@ -131,9 +152,13 @@ class HistogramSink(TraceSink):
     * ``search_visits`` — nodes visited per partial cycle search (the
       distribution whose mean Theorem 5.2 bounds at ≈2.2);
     * ``cycle_lengths`` — length of each collapsed cycle;
-    * per-variable fan-out counts for processed (non-redundant) var-var
-      edges, rendered on demand by :meth:`fanout_histogram`;
-    * event counts per event type and edge outcome;
+    * fan-out — per-variable var-var out-degree of the latest segment's
+      graph (:func:`_out_degree_histogram`, computed at each segment end:
+      O(edges), so once per add under ``IncrementalSolver``), read by
+      :meth:`fanout_histogram`;
+    * counts folded once per segment from ``SolverStats`` (edge
+      outcomes, resolutions, clashes, searches, collapses), plus search
+      hits and sweeps counted per event;
     * per-phase wall-time totals from ``phase.begin``/``phase.end``
       pairs, plus the raw span list for Chrome export.
     """
@@ -149,11 +174,11 @@ class HistogramSink(TraceSink):
         self.swept_vars = 0
         self.resolutions = 0
         self.clashes = 0
-        #: edge outcome -> count (added/redundant/self/cycle), per kind
+        #: edge outcome -> count (added/redundant/self/cycle)
         self.edge_outcomes: Dict[str, int] = {}
-        self.edge_kinds: Dict[str, int] = {}
-        #: source variable id -> processed outgoing var-var edges
-        self._fanout: Dict[int, int] = {}
+        self._fanout = OnlineHistogram()
+        #: search hits since the last segment end
+        self._segment_hits = 0
         #: phase name -> accumulated seconds
         self.phase_seconds: Dict[str, float] = {}
         #: raw (name, begin_ts, end_ts) spans; perf_counter timebase
@@ -161,30 +186,24 @@ class HistogramSink(TraceSink):
         self._open_phases: List[Tuple[str, float]] = []
 
     # -- events ---------------------------------------------------------
-    def edge(self, kind, src, dst, outcome):
-        self.edge_outcomes[outcome] = self.edge_outcomes.get(outcome, 0) + 1
-        self.edge_kinds[kind] = self.edge_kinds.get(kind, 0) + 1
-        if kind == "vv" and outcome == "added":
-            fanout = self._fanout
-            fanout[src] = fanout.get(src, 0) + 1
-
-    def resolve(self, left, right):
-        self.resolutions += 1
-
-    def clash(self, diagnostic):
-        self.clashes += 1
-
-    def search_start(self, start, target):
-        self.searches += 1
+    def segment_end(self, stats, graph):
+        outcomes = self.edge_outcomes
+        for outcome, count in edge_outcomes(
+                stats, self._segment_hits).items():
+            outcomes[outcome] = outcomes.get(outcome, 0) + count
+        self._segment_hits = 0
+        self.resolutions += stats.resolutions
+        self.clashes += stats.clashes
+        self.searches += stats.cycle_searches
+        self.collapses += stats.cycles_found
+        self._fanout = _out_degree_histogram(graph)
 
     def search_end(self, found, visits, length):
         self.search_visits.add(visits)
         if found:
             self.search_hits += 1
+            self._segment_hits += 1
             self.cycle_lengths.add(length)
-
-    def collapse(self, witness, members):
-        self.collapses += 1
 
     def sweep(self, eliminated):
         self.sweeps += 1
@@ -210,11 +229,9 @@ class HistogramSink(TraceSink):
 
     # -- derived --------------------------------------------------------
     def fanout_histogram(self) -> OnlineHistogram:
-        """Distribution of per-variable processed var-var out-degree."""
-        hist = OnlineHistogram()
-        for degree in self._fanout.values():
-            hist.add(degree)
-        return hist
+        """Per-variable var-var out-degree of the latest segment's graph
+        (summed bucket-wise over merged runs)."""
+        return self._fanout
 
     @property
     def mean_search_visits(self) -> float:
@@ -236,14 +253,13 @@ class HistogramSink(TraceSink):
         self.swept_vars += other.swept_vars
         self.resolutions += other.resolutions
         self.clashes += other.clashes
-        for mapping, theirs in (
-            (self.edge_outcomes, other.edge_outcomes),
-            (self.edge_kinds, other.edge_kinds),
-        ):
-            for key, value in theirs.items():
-                mapping[key] = mapping.get(key, 0) + value
-        for src, degree in other._fanout.items():
-            self._fanout[src] = self._fanout.get(src, 0) + degree
+        for outcome, count in other.edge_outcomes.items():
+            self.edge_outcomes[outcome] = (
+                self.edge_outcomes.get(outcome, 0) + count
+            )
+        # Variable ids are per program: fan-out merges as a degree
+        # histogram, never per id.
+        self._fanout.merge(other._fanout)
         for name, seconds in other.phase_seconds.items():
             self.phase_seconds[name] = (
                 self.phase_seconds.get(name, 0.0) + seconds
@@ -260,13 +276,12 @@ class HistogramSink(TraceSink):
             "mean_search_visits": self.mean_search_visits,
             "search_visits": self.search_visits.to_dict(),
             "cycle_lengths": self.cycle_lengths.to_dict(),
-            "fanout": self.fanout_histogram().to_dict(),
+            "fanout": self._fanout.to_dict(),
             "collapses": self.collapses,
             "sweeps": self.sweeps,
             "swept_vars": self.swept_vars,
             "resolutions": self.resolutions,
             "clashes": self.clashes,
             "edge_outcomes": dict(sorted(self.edge_outcomes.items())),
-            "edge_kinds": dict(sorted(self.edge_kinds.items())),
             "phase_seconds": dict(sorted(self.phase_seconds.items())),
         }

@@ -7,10 +7,15 @@ as a no-op, which makes it simultaneously the protocol definition and
 the null sink.
 
 The overhead contract: the solver carries a ``sink`` attribute that is
-``None`` when tracing is disabled; every instrumented call site loads it
-once into a local and tests ``is not None``, so a disabled trace costs
-one attribute read plus one or two pointer comparisons per worklist
-operation — nothing is formatted, allocated, or timestamped.  Sinks that
+``None`` when tracing is disabled.  The per-unit events (``edge``,
+``resolve``, ``search_start``, ``search_visit``, ``collapse``) are sent
+only to a sink whose class overrides them: each engine resolves them
+once, through :func:`hook`, to a bound method or ``None``, and every
+call site tests that local for ``None``.  So a disabled trace — or a
+sink that counts rather than records — costs one pointer comparison
+per worklist operation: nothing is formatted, allocated, or
+timestamped.  Counting sinks read every counter ``SolverStats`` keeps
+from the once-per-segment ``segment_end`` event instead.  Sinks that
 need timestamps take them themselves (see :class:`CollectorSink`), so
 the price of a clock read is paid only by sinks that want one.
 
@@ -20,12 +25,12 @@ This module deliberately imports nothing from the solver packages, so
 
 from __future__ import annotations
 
-import io
 import json
 import time
-from typing import Iterable, List, Optional, Sequence, TextIO
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO
 
 from .events import (
+    EVENT_METHODS,
     EV_AUDIT,
     EV_BUDGET_STOP,
     EV_CLASH,
@@ -37,6 +42,7 @@ from .events import (
     EV_SEARCH_END,
     EV_SEARCH_START,
     EV_SEARCH_VISIT,
+    EV_SEGMENT_END,
     EV_SWEEP,
     TraceEvent,
 )
@@ -48,10 +54,12 @@ JSONL_SCHEMA_VERSION = 1
 class TraceSink:
     """Receiver of solver events; the base class ignores everything.
 
-    Subclasses override only the events they care about.  An instance of
-    this class *is* the null sink (:data:`NULL_SINK`): attaching it must
-    leave every deterministic solver counter byte-identical to running
-    untraced — the sink API observes, never steers.
+    Subclasses override only the events they care about, and the solver
+    sends the per-unit events only to sinks that do (:meth:`overrides`).
+    An instance of this class *is* the null sink (:data:`NULL_SINK`):
+    attaching it must leave every deterministic solver counter
+    byte-identical to running untraced — the sink API observes, never
+    steers.
     """
 
     # -- edges and resolution ------------------------------------------
@@ -101,9 +109,44 @@ class TraceSink:
     def phase_end(self, name: str) -> None:
         """The most recently begun phase of that name ended."""
 
+    # -- folding --------------------------------------------------------
+    def segment_end(self, stats: object, graph: object) -> None:
+        """One solve segment ended (a run or resume, raised and partial
+        exits included, or one ``IncrementalSolver.add``).  ``stats`` is
+        the segment's :class:`~repro.graph.stats.SolverStats` delta and
+        ``graph`` the engine's constraint graph; both are read-only."""
+
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
         """Flush and release resources; idempotent."""
+
+    def overrides(self, event: str) -> bool:
+        """Whether this sink handles ``event`` (a method name, e.g.
+        ``"edge"``); decided from the class alone."""
+        return getattr(type(self), event) is not getattr(TraceSink, event)
+
+
+def hook(sink: Optional[TraceSink], event: str) -> Optional[Callable]:
+    """``sink``'s bound ``event`` method, or ``None`` when there is no
+    sink or it does not override the event — what call sites test."""
+    if sink is None or not sink.overrides(event):
+        return None
+    return getattr(sink, event)
+
+
+def edge_outcomes(stats, cycle: int) -> Dict[str, int]:
+    """Work by ``edge`` outcome, read off one segment's counters.
+
+    ``cycle`` is the segment's search hits: each hit consumes the edge
+    insertion that triggered it.  Zero outcomes are left out.
+    """
+    counts = {
+        "added": stats.work - stats.redundant - stats.self_edges - cycle,
+        "redundant": stats.redundant,
+        "self": stats.self_edges,
+        "cycle": cycle,
+    }
+    return {outcome: count for outcome, count in counts.items() if count}
 
 
 #: The shared no-op sink (for call sites that want a non-None default).
@@ -166,6 +209,9 @@ class _EmittingSink(TraceSink):
     def phase_end(self, name):
         self._emit(EV_PHASE_END, name=name)
 
+    def segment_end(self, stats, graph):
+        self._emit(EV_SEGMENT_END, **stats.as_dict())
+
 
 class CollectorSink(_EmittingSink):
     """Record every event in memory as :class:`TraceEvent` objects.
@@ -187,62 +233,39 @@ class CollectorSink(_EmittingSink):
 
 
 class TeeSink(TraceSink):
-    """Fan every event out to several sinks, in order."""
+    """Fan each event out, in order, to the sinks that override it.
+
+    The routes are fixed at construction from the children's classes.
+    """
 
     def __init__(self, sinks: Iterable[TraceSink]) -> None:
         self.sinks: List[TraceSink] = list(sinks)
+        self._routes: Dict[str, List[Callable]] = {
+            event: [getattr(sink, event) for sink in self.sinks
+                    if sink.overrides(event)]
+            for event in EVENT_METHODS
+        }
 
-    def edge(self, kind, src, dst, outcome):
-        for sink in self.sinks:
-            sink.edge(kind, src, dst, outcome)
-
-    def resolve(self, left, right):
-        for sink in self.sinks:
-            sink.resolve(left, right)
-
-    def clash(self, diagnostic):
-        for sink in self.sinks:
-            sink.clash(diagnostic)
-
-    def search_start(self, start, target):
-        for sink in self.sinks:
-            sink.search_start(start, target)
-
-    def search_visit(self, node):
-        for sink in self.sinks:
-            sink.search_visit(node)
-
-    def search_end(self, found, visits, length):
-        for sink in self.sinks:
-            sink.search_end(found, visits, length)
-
-    def collapse(self, witness, members):
-        for sink in self.sinks:
-            sink.collapse(witness, members)
-
-    def sweep(self, eliminated):
-        for sink in self.sinks:
-            sink.sweep(eliminated)
-
-    def audit_failure(self, failure):
-        for sink in self.sinks:
-            sink.audit_failure(failure)
-
-    def budget_stop(self, reason, limit, value):
-        for sink in self.sinks:
-            sink.budget_stop(reason, limit, value)
-
-    def phase_begin(self, name):
-        for sink in self.sinks:
-            sink.phase_begin(name)
-
-    def phase_end(self, name):
-        for sink in self.sinks:
-            sink.phase_end(name)
+    def overrides(self, event):
+        return bool(self._routes[event])
 
     def close(self):
         for sink in self.sinks:
             sink.close()
+
+
+def _fan_out(event: str):
+    def forward(self, *args):
+        for method in self._routes[event]:
+            method(*args)
+
+    forward.__name__ = event
+    forward.__qualname__ = f"TeeSink.{event}"
+    return forward
+
+
+for _event in EVENT_METHODS:
+    setattr(TeeSink, _event, _fan_out(_event))
 
 
 def _jsonable(value: object) -> object:
@@ -363,20 +386,6 @@ def read_jsonl(source) -> List[TraceEvent]:
     finally:
         if owns:
             handle.close()
-
-
-def events_to_jsonl_text(events: Iterable[TraceEvent]) -> str:
-    """Serialize events to JSONL text (meta line included)."""
-    buffer = io.StringIO()
-    buffer.write(json.dumps(
-        {"ev": "meta", "schema": JSONL_SCHEMA_VERSION}
-    ) + "\n")
-    for event in events:
-        obj = {"ev": event.name, "ts": event.ts}
-        for key, value in event.args.items():
-            obj[key] = _jsonable(value)
-        buffer.write(json.dumps(obj) + "\n")
-    return buffer.getvalue()
 
 
 def combine(*sinks: Optional[TraceSink]) -> Optional[TraceSink]:

@@ -103,7 +103,7 @@ class TestHistogramSink:
         assert sum(sink.edge_outcomes.values()) == stats.work
         assert sink.edge_outcomes.get("redundant", 0) == stats.redundant
         assert sink.edge_outcomes.get("self", 0) == stats.self_edges
-        assert sink.edge_kinds.get("vv", 0) == stats.work
+        assert sink.edge_outcomes.get("cycle", 0) == sink.search_hits
 
     def test_phase_spans_recorded(self):
         sink = HistogramSink()
@@ -125,13 +125,64 @@ class TestHistogramSink:
 
     def test_fanout_counts_added_vv_edges_only(self):
         sink = HistogramSink()
-        sink.edge("vv", 1, 2, "added")
-        sink.edge("vv", 1, 3, "added")
-        sink.edge("vv", 1, 3, "redundant")
-        sink.edge("sv", "term", 1, "added")
+        system = ConstraintSystem()
+        v1, v2, v3 = system.fresh_vars(3)
+        system.add(v1, v2)
+        system.add(v1, v3)
+        system.add(v1, v3)  # redundant
+        system.add(system.term(system.constructor("c"), label="c"), v1)
+        solve(system, SolverOptions(
+            form=GraphForm.STANDARD, cycles=CyclePolicy.NONE, sink=sink,
+        ))
         hist = sink.fanout_histogram()
         assert hist.count == 1
         assert hist.total == 2
+
+    @pytest.mark.parametrize("form", list(GraphForm))
+    def test_plain_fanout_is_out_degree_of_added_vv_events(self, form):
+        from repro.trace import CollectorSink
+        from repro.trace.sinks import combine
+        from repro.workloads.generator import (
+            RandomSystemConfig,
+            random_system,
+        )
+
+        sink, collector = HistogramSink(), CollectorSink()
+        system = random_system(RandomSystemConfig(seed=4, variables=30,
+                                                  var_var=60))
+        solve(system, SolverOptions(
+            form=form, cycles=CyclePolicy.NONE,
+            sink=combine(sink, collector),
+        ))
+        degrees = {}
+        for event in collector.events:
+            args = event.args
+            if (event.name == "edge" and args["kind"] == "vv"
+                    and args["outcome"] == "added"):
+                degrees[args["src"]] = degrees.get(args["src"], 0) + 1
+        expected = OnlineHistogram()
+        for degree in degrees.values():
+            expected.add(degree)
+        assert expected.count > 5
+        assert sink.fanout_histogram().to_dict() == expected.to_dict()
+
+    def test_merged_fanout_keeps_programs_apart(self):
+        """Variable 0 of two programs: degrees 2 and 1, never 3."""
+        runs = []
+        for targets in (2, 1):
+            system = ConstraintSystem()
+            v0, *rest = system.fresh_vars(1 + targets)
+            for var in rest:
+                system.add(v0, var)
+            runs.append(HistogramSink())
+            solve(system, SolverOptions(
+                form=GraphForm.STANDARD, cycles=CyclePolicy.NONE,
+                sink=runs[-1],
+            ))
+        merged = HistogramSink()
+        for run in runs:
+            merged.merge(run)
+        assert merged.fanout_histogram().buckets == {1: 1, 2: 1}
 
     def test_merge_combines_runs(self):
         first, second = HistogramSink(), HistogramSink()
