@@ -11,6 +11,7 @@ from .figures import (
     figure10,
     figure11,
     figure11_averages,
+    paper_checks,
     render_figure7,
     render_figure8,
     render_figure9,
@@ -54,6 +55,7 @@ __all__ = [
     "initial_graph_statistics",
     "options_for",
     "oracle_work_ratio",
+    "paper_checks",
     "render_figure10",
     "render_figure11",
     "render_figure7",

@@ -14,8 +14,10 @@ argues its claims.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from math import fsum
+from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..graph.stats import SolverStats
 from .report import format_series, format_table
 from .runner import SuiteResults
 
@@ -190,9 +192,105 @@ def render_figure11(results: SuiteResults) -> str:
 
 
 def figure11_averages(results: SuiteResults) -> Tuple[float, float]:
-    rows = [row for row in figure11(results) if row[1] or row[2]]
-    if not rows:
-        return (0.0, 0.0)
-    mean_if = sum(r[1] for r in rows) / len(rows)
-    mean_sf = sum(r[2] for r in rows) / len(rows)
-    return (mean_if, mean_sf)
+    """Suite means of :func:`figure11`'s columns: (IF, SF)."""
+    means = detection_means(
+        {
+            label: {
+                bench.name: results.run(bench.name, label).vars_eliminated
+                for bench in results.benchmarks
+            }
+            for label in ("IF-Online", "SF-Online")
+        },
+        {
+            bench.name: results.statistics(bench.name).final_scc_vars
+            for bench in results.benchmarks
+        },
+    )
+    return (means["IF-Online"], means["SF-Online"])
+
+
+def detection_means(
+    eliminated: Mapping[str, Mapping[str, int]],
+    scc_vars: Mapping[str, int],
+) -> Dict[str, float]:
+    """Figure 11's suite mean for each experiment.
+
+    ``eliminated`` maps experiment -> benchmark -> variables eliminated
+    online; ``scc_vars`` maps benchmark -> variables in non-trivial SCCs
+    of the final graph.  The mean is over benchmarks that have cycle
+    variables and where some experiment eliminated any of them.
+    """
+    counted = [
+        bench for bench, total in scc_vars.items()
+        if total and any(runs.get(bench, 0) for runs in eliminated.values())
+    ]
+    return {
+        experiment: fsum(
+            runs.get(bench, 0) / scc_vars[bench] for bench in counted
+        ) / len(counted) if counted else 0.0
+        for experiment, runs in eliminated.items()
+    }
+
+
+# ----------------------------------------------------------------------
+# The paper's reference values, and the checks against them
+# ----------------------------------------------------------------------
+#: Theorem 5.2: a partial search visits about 2.2 nodes on average.
+PAPER_MEAN_VISITS = 2.2
+#: Figure 11: the share of final-SCC variables found online.
+PAPER_DETECTION = {"SF-Online": 0.40, "IF-Online": 0.80}
+#: Figure 11's IF/SF detection ratio, about 2.
+PAPER_DETECTION_RATIO = PAPER_DETECTION["IF-Online"] / PAPER_DETECTION[
+    "SF-Online"]
+
+CHECK_VISITS = "Thm 5.2 mean partial-search visits"
+CHECK_DETECTION = "Fig. 11 cycle-variable detection"
+CHECK_RATIO = "Fig. 11 IF/SF detection ratio"
+
+#: One :func:`paper_checks` row: (check, experiment, measured, paper).
+PaperCheck = Tuple[str, str, float, float]
+
+
+def paper_checks(
+    stats: Mapping[str, Mapping[str, SolverStats]],
+    scc_vars: Optional[Mapping[str, int]] = None,
+) -> List[PaperCheck]:
+    """The paper's per-operation claims against measured counters.
+
+    ``stats`` maps experiment -> benchmark -> that run's counters.
+    Every experiment gets the Theorem 5.2 row: visits per partial
+    search, as a ratio of sums over its runs.  The Figure 11 rows (each
+    online experiment's :func:`detection_means`, then the IF/SF ratio)
+    need the final-SCC denominators, so they come only when the caller
+    passes ``scc_vars`` (benchmark -> variables in non-trivial SCCs).
+    """
+    rows: List[PaperCheck] = []
+    for experiment, runs in stats.items():
+        searches = sum(run.cycle_searches for run in runs.values())
+        visits = sum(run.cycle_search_visits for run in runs.values())
+        rows.append((
+            CHECK_VISITS, experiment,
+            visits / searches if searches else 0.0, PAPER_MEAN_VISITS,
+        ))
+    if scc_vars is None:
+        return rows
+    means = detection_means(
+        {
+            experiment: {
+                bench: run.vars_eliminated for bench, run in runs.items()
+            }
+            for experiment, runs in stats.items()
+            if experiment in PAPER_DETECTION
+        },
+        scc_vars,
+    )
+    for experiment, mean in means.items():
+        rows.append((
+            CHECK_DETECTION, experiment, mean, PAPER_DETECTION[experiment],
+        ))
+    if len(means) == 2 and means["SF-Online"]:
+        rows.append((
+            CHECK_RATIO, "IF/SF", means["IF-Online"] / means["SF-Online"],
+            PAPER_DETECTION_RATIO,
+        ))
+    return rows

@@ -7,8 +7,8 @@ service is monitored through:
 
 * **Instruments** (:mod:`repro.metrics.instruments`): ``Counter``,
   ``Gauge`` and ``Histogram`` families labeled by graph form, cycle
-  policy, suite and benchmark.  Histograms share bucket boundaries
-  with the trace-side histograms via :mod:`repro.trace.buckets`.
+  policy, suite and benchmark.  ``Histogram`` is
+  :class:`repro.trace.Histogram`: the repo has one histogram type.
 * **Registry** (:mod:`repro.metrics.registry`): a process-wide
   :class:`MetricsRegistry` with Prometheus text exposition
   (:meth:`~MetricsRegistry.expose`), JSON snapshots, and periodic

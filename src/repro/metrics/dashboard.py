@@ -4,13 +4,14 @@ Ingests the committed ``benchmarks/BASELINE.json`` plus any number of
 ``BENCH_<n>.json`` reports (and, optionally, ``repro.metrics`` snapshot
 files), orders them into a trajectory (schema-v2 reports carry
 ``timestamp``/``git_sha`` stamps; v1 reports fall back to file order),
-computes per-experiment trends — work counts, wall time, partial-search
-visits per insertion, detection rate against the paper's Theorem 5.2 /
-Figure 11 expectations — flags work-count regressions versus the
-baseline, and renders everything as **one self-contained static HTML
-file**: inline CSS, inline SVG charts, native ``<title>`` tooltips, no
-external assets and no JavaScript, so the file is committable as a CI
-artifact and renders identically forever.
+computes per-experiment trends — work counts, wall time, visits per
+partial search against Theorem 5.2 (through
+:func:`repro.experiments.figures.paper_checks`), the per-search hit
+rate — flags work-count regressions versus the baseline, and renders
+everything as **one self-contained static HTML file**: inline CSS,
+inline SVG charts, native ``<title>`` tooltips, no external assets and
+no JavaScript, so the file is committable as a CI artifact and renders
+identically forever.
 
 CLI front end: ``python -m repro.metrics dashboard``.
 """
@@ -26,10 +27,11 @@ from ..bench.baseline import load_report
 from ..bench.compare import IncomparableReportsError, compare_reports
 from ..bench.harness import BenchReport
 from ..experiments.config import EXPERIMENT_LABELS
+from ..experiments.figures import PaperCheck, paper_checks
+from ..graph.stats import SolverStats
 
-#: Paper expectations the trend view annotates (Theorem 5.2, Fig. 11).
-EXPECTED_MEAN_VISITS = 2.2
-EXPECTED_DETECTION_RATE = {"SF-Online": 0.40, "IF-Online": 0.80}
+#: The configurations that search online: the ones paper checks cover.
+_ONLINE = ("SF-Online", "IF-Online")
 
 #: Fixed experiment -> categorical slot assignment (color follows the
 #: entity: the mapping never changes with which experiments appear).
@@ -64,8 +66,8 @@ class ExperimentTrend:
     experiment: str
     work: List[int] = field(default_factory=list)
     seconds: List[float] = field(default_factory=list)
-    visits_per_insertion: List[float] = field(default_factory=list)
-    detection_rate: List[float] = field(default_factory=list)
+    mean_search_visits: List[float] = field(default_factory=list)
+    hit_rate: List[float] = field(default_factory=list)
 
 
 @dataclass
@@ -77,6 +79,9 @@ class DashboardData:
     flags: List[str]
     snapshot_rows: List[Tuple[str, str, float]]
     notes: List[str]
+    #: the latest report's paper checks (Theorem 5.2 only: bench
+    #: reports carry no final-SCC denominator for Figure 11)
+    checks: List[PaperCheck]
 
 
 def load_trajectory(baseline_path: Optional[str],
@@ -125,9 +130,9 @@ def compute_trends(
 ) -> Dict[str, ExperimentTrend]:
     """Per-experiment aggregate series across the trajectory.
 
-    ``visits_per_insertion`` and ``detection_rate`` are computed from
-    summed counters (the ratio of sums, not the mean of ratios), which
-    is the amortized quantity the paper's theorems are stated in.
+    ``mean_search_visits`` (Theorem 5.2's quantity) and ``hit_rate``
+    (searches that found a cycle) are ratios of summed counters, not
+    means of per-benchmark ratios.
     """
     labels: List[str] = []
     for point in points:
@@ -142,21 +147,18 @@ def compute_trends(
             if totals is None:
                 trend.work.append(0)
                 trend.seconds.append(0.0)
-                trend.visits_per_insertion.append(0.0)
-                trend.detection_rate.append(0.0)
+                trend.mean_search_visits.append(0.0)
+                trend.hit_rate.append(0.0)
                 continue
-            work = int(totals.get("work", 0))
             searches = totals.get("cycle_searches", 0)
             visits = totals.get("cycle_search_visits", 0)
             found = totals.get("cycles_found", 0)
-            trend.work.append(work)
+            trend.work.append(int(totals.get("work", 0)))
             trend.seconds.append(totals.get("seconds", 0.0))
-            trend.visits_per_insertion.append(
-                visits / work if work else 0.0
+            trend.mean_search_visits.append(
+                visits / searches if searches else 0.0
             )
-            trend.detection_rate.append(
-                found / searches if searches else 0.0
-            )
+            trend.hit_rate.append(found / searches if searches else 0.0)
         trends[label] = trend
     return trends
 
@@ -245,9 +247,17 @@ def build_dashboard_data(
     trends = compute_trends(points)
     flags, notes = flag_regressions(points)
     snapshot_rows = summarize_snapshots(snapshot_paths)
+    latest = points[-1].report
+    checks = paper_checks({
+        label: {
+            record.benchmark: SolverStats.from_dict(record.counters)
+            for record in latest.records if record.experiment == label
+        }
+        for label in _ONLINE if label in latest.experiments
+    })
     return DashboardData(
         points=points, trends=trends, flags=flags,
-        snapshot_rows=snapshot_rows, notes=notes,
+        snapshot_rows=snapshot_rows, notes=notes, checks=checks,
     )
 
 
@@ -480,14 +490,14 @@ def _stat_tiles(data: DashboardData) -> str:
     tile(_fmt(total_work), "total work (latest)",
          f"suite {latest.report.suite}, all configs")
     tile(f"{total_seconds:.2f}s", "total median wall time (latest)")
-    for label in ("SF-Online", "IF-Online"):
+    for check, experiment, measured, paper in data.checks:
+        tile(f"{measured:.2f}", f"{experiment} {check}",
+             f"paper: ~{paper:g}")
+    for label in _ONLINE:
         trend = data.trends.get(label)
-        if trend is None or not trend.detection_rate:
-            continue
-        rate = trend.detection_rate[-1]
-        expected = EXPECTED_DETECTION_RATE[label]
-        tile(f"{rate * 100:.0f}%", f"{label} detection rate",
-             f"paper (Fig. 11): ~{expected * 100:.0f}%")
+        if trend is not None:
+            tile(f"{trend.hit_rate[-1] * 100:.0f}%",
+                 f"{label} per-search hit rate", "cycles found / searches")
     flag_count = len(data.flags)
     tile(str(flag_count), "work regressions vs baseline",
          "latest report diffed against the committed baseline")
@@ -531,17 +541,13 @@ def _charts_section(data: DashboardData) -> str:
         (label, slot_of(label), data.trends[label].seconds)
         for label in ordered
     ]
-    online = [
-        label for label in ("SF-Online", "IF-Online")
-        if label in data.trends
-    ]
+    online = [label for label in _ONLINE if label in data.trends]
     visit_series = [
-        (label, slot_of(label),
-         data.trends[label].visits_per_insertion)
+        (label, slot_of(label), data.trends[label].mean_search_visits)
         for label in online
     ]
     rate_series = [
-        (label, slot_of(label), data.trends[label].detection_rate)
+        (label, slot_of(label), data.trends[label].hit_rate)
         for label in online
     ]
     charts = [
@@ -556,22 +562,17 @@ def _charts_section(data: DashboardData) -> str:
     ]
     if visit_series:
         charts.append(_line_chart(
-            "Partial-search visits per insertion",
-            "visits / unit of Work", visit_series, x_labels,
-            ref_lines=[
-                (f"Thm 5.2 per-search mean ~{EXPECTED_MEAN_VISITS}",
-                 EXPECTED_MEAN_VISITS),
-            ],
+            "Visits per partial search", "visits / search",
+            visit_series, x_labels,
+            ref_lines=sorted({
+                (f"{check} ~{paper:g}", paper)
+                for check, _, _, paper in data.checks
+            }),
         ))
     if rate_series:
         charts.append(_line_chart(
-            "Online cycle detection rate", "cycles found / searches",
+            "Online per-search hit rate", "cycles found / searches",
             rate_series, x_labels,
-            ref_lines=[
-                (f"paper {label} ~{value * 100:.0f}%", value)
-                for label, value in EXPECTED_DETECTION_RATE.items()
-                if label in online
-            ],
         ))
     return (
         "<h2>Benchmark trajectory</h2>"

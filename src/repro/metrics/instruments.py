@@ -9,14 +9,14 @@ children via :meth:`Family.labels`.
 Design constraints, in order:
 
 * **Cheap updates.** ``Counter.inc`` is one attribute add; histogram
-  ``observe`` is one bucket-floor computation plus three adds.  Hot
-  paths pre-bind children once (see
+  ``observe`` is one bucket-floor computation plus a few adds and
+  compares.  Hot paths pre-bind children once (see
   :class:`repro.metrics.sink.MetricsSink`) so label resolution is paid
   at wiring time, not per event.
-* **Shared buckets.** :class:`Histogram` buckets integer samples with
-  :mod:`repro.trace.buckets` — the same scheme as the trace-side
-  :class:`repro.trace.histogram.OnlineHistogram`, so the two can never
-  drift on boundaries.
+* **One histogram type.** :class:`Histogram` is
+  :class:`repro.trace.histogram.Histogram` itself, so trace and metrics
+  histograms share buckets by construction, and a family's snapshot
+  rows are that class's ``to_dict``.
 * **No clock reads, no locks.** The solver is single-threaded per run;
   cross-thread aggregation happens at registry level by merging
   snapshots.  Exposition readers see a consistent-enough view without
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-from ..trace.buckets import bucket_floor, bucket_rows, cumulative_bounds
+from ..trace.histogram import Histogram
 
 #: Instrument type names as they appear in snapshots and ``# TYPE``.
 COUNTER = "counter"
@@ -71,44 +71,6 @@ class Gauge:
 
     def to_value(self) -> float:
         return self.value
-
-
-class Histogram:
-    """Integer-sample histogram on the shared trace bucket scheme.
-
-    Mirrors :class:`repro.trace.histogram.OnlineHistogram` exactly in
-    where a sample lands (both delegate to
-    :func:`repro.trace.buckets.bucket_floor`), and additionally tracks
-    ``sum``/``count`` for exposition as a Prometheus histogram.
-    """
-
-    __slots__ = ("count", "sum", "buckets")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.sum = 0
-        #: bucket floor -> samples in the bucket (sparse)
-        self.buckets: Dict[int, int] = {}
-
-    def observe(self, value: int, count: int = 1) -> None:
-        if value < 0:
-            raise ValueError(f"histogram samples must be >= 0, got {value}")
-        self.count += count
-        self.sum += value * count
-        floor = bucket_floor(value)
-        self.buckets[floor] = self.buckets.get(floor, 0) + count
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def bucket_rows(self) -> List[Tuple[int, int, int]]:
-        """Sorted ``(lo, hi_inclusive, count)`` rows (shared scheme)."""
-        return bucket_rows(self.buckets)
-
-    def cumulative(self) -> List[Tuple[int, int]]:
-        """Sorted ``(le, cumulative_count)`` rows, without ``+Inf``."""
-        return cumulative_bounds(self.buckets)
 
 
 _TYPE_CLASSES = {COUNTER: Counter, GAUGE: Gauge, HISTOGRAM: Histogram}
@@ -206,12 +168,7 @@ class Family:
                 "labels": dict(zip(self.labelnames, values)),
             }
             if self.type == HISTOGRAM:
-                row["count"] = child.count
-                row["sum"] = child.sum
-                row["buckets"] = {
-                    str(floor): count
-                    for floor, count in sorted(child.buckets.items())
-                }
+                row.update(child.to_dict())
             else:
                 row["value"] = child.to_value()
             rows.append(row)
@@ -236,15 +193,26 @@ class Family:
             )
             child = self.labels(*values)
             if self.type == HISTOGRAM:
-                child.count += int(row["count"])
-                child.sum += int(row["sum"])
-                for floor, count in row.get("buckets", {}).items():
-                    floor = int(floor)
-                    child.buckets[floor] = (
-                        child.buckets.get(floor, 0) + int(count)
-                    )
+                child.merge(_histogram_of(row))
             elif self.type == COUNTER:
                 child.inc(float(row["value"]))
             else:
                 child.set(float(row["value"]))
 
+
+def _histogram_of(row: dict) -> Histogram:
+    """One histogram snapshot row as a :class:`Histogram`.
+
+    Rows written before histograms kept ``min``/``max`` carry neither;
+    they merge as count, sum and buckets alone.
+    """
+    hist = Histogram()
+    hist.count = int(row["count"])
+    hist.sum = int(row["sum"])
+    hist.min = row.get("min")
+    hist.max = row.get("max")
+    hist.buckets = {
+        int(floor): int(count)
+        for floor, count in row.get("buckets", {}).items()
+    }
+    return hist

@@ -36,6 +36,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from ..experiments.figures import PAPER_MEAN_VISITS
 from ..trace.sinks import TraceSink, edge_outcomes
 from .registry import MetricsRegistry, default_registry
 
@@ -92,7 +93,7 @@ class MetricsSink(TraceSink):
         self._search_visits = histogram(
             "repro_solver_search_visits",
             "Nodes visited per partial cycle search; Theorem 5.2 bounds "
-            "the mean at about 2.2.",
+            f"the mean at about {PAPER_MEAN_VISITS}.",
         ).labels(*base)
         self._cycle_length = histogram(
             "repro_solver_cycle_length",

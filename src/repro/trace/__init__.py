@@ -9,15 +9,18 @@ The subsystem has three layers:
 * **Sinks** (:mod:`repro.trace.sinks`,
   :mod:`repro.trace.histogram`): where events go.  ``CollectorSink``
   keeps them in memory, ``JsonlSink`` streams them to disk,
-  ``HistogramSink`` folds them into bounded-memory online histograms
-  and per-phase wall-time totals.  Tracing is enabled by setting
-  ``SolverOptions(sink=...)``; when no sink is attached the
-  instrumentation costs one attribute check per operation.
+  ``HistogramSink`` folds them into bounded-memory histograms and
+  per-phase wall-time totals.  :class:`Histogram` is the repo's one
+  histogram type: ``repro.metrics.Histogram`` is the same class.
+  Tracing is enabled by setting ``SolverOptions(sink=...)``; when no
+  sink is attached the instrumentation costs one attribute check per
+  operation.
 * **Export & reporting** (:mod:`repro.trace.chrome`,
   :mod:`repro.trace.report`): Chrome/Perfetto trace export and the
   ``python -m repro.trace`` CLI, which records traced suite runs and
   reports the paper's per-operation quantities (mean partial-search
-  visits vs Theorem 5.2's ≈2.2, IF vs SF online detection rates).
+  visits for Theorem 5.2, IF vs SF online detection for Figure 11)
+  against :func:`repro.experiments.figures.paper_checks`.
 
 Quick use::
 
@@ -42,7 +45,7 @@ from .chrome import (
     write_chrome,
 )
 from .events import EVENT_NAMES, TraceEvent
-from .histogram import HistogramSink, OnlineHistogram
+from .histogram import Histogram, HistogramSink
 from .sinks import (
     NULL_SINK,
     CollectorSink,
@@ -56,10 +59,10 @@ from .sinks import (
 __all__ = [
     "CollectorSink",
     "EVENT_NAMES",
+    "Histogram",
     "HistogramSink",
     "JsonlSink",
     "NULL_SINK",
-    "OnlineHistogram",
     "TeeSink",
     "TraceEvent",
     "TraceSink",

@@ -3,8 +3,9 @@
 Typical uses::
 
     # Traced medium-suite run: empirical mean partial-search visits
-    # (paper: ~2.2), per-representation detection rates (IF ~80% vs
-    # SF ~40%), distributions, and a Perfetto-loadable span trace.
+    # and per-representation detection rates checked against the
+    # paper (Theorem 5.2, Figure 11), distributions, and a
+    # Perfetto-loadable span trace.
     python -m repro.trace --suite medium --chrome trace.json
 
     # CI smoke: quick suite, machine-readable summary, and a check that

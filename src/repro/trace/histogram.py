@@ -1,23 +1,21 @@
-"""Online distribution telemetry.
+"""Distribution telemetry: the one histogram type and the sink that feeds it.
 
-:class:`OnlineHistogram` is a bounded-memory streaming histogram in the
+:class:`Histogram` is a bounded-memory streaming histogram in the
 HdrHistogram spirit: small values (< 16) are counted exactly, larger
 values fall into power-of-two buckets, and count/sum/min/max are kept
 exactly.  That is enough to report the quantities the paper's
 evaluation reasons about — the *mean* partial-search visit count
-(Theorem 5.2's ≈2.2), cycle-length distributions, per-variable fan-out —
-while adding O(1) work and O(log max) memory per stream.
+(Theorem 5.2), cycle-length distributions, per-variable fan-out —
+while adding O(1) work and O(log max) memory per stream.  It is also
+the metrics-side instrument (:mod:`repro.metrics.instruments`), so
+trace and metrics histograms are one class and cannot disagree on
+where a sample lands.
 
 :class:`HistogramSink` is the trace sink that feeds these histograms
 from the solver's distribution events, folds its counts from each
 segment's ``SolverStats`` and also accumulates per-phase wall-time
 spans, so one cheap sink yields both the distribution telemetry and a
 profile.
-
-Bucket boundaries come from :mod:`repro.trace.buckets`, the scheme
-shared with :class:`repro.metrics.instruments.Histogram` — trace
-histograms and metrics histograms can never drift apart on where a
-sample lands.
 """
 
 from __future__ import annotations
@@ -26,107 +24,97 @@ import time
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from .buckets import EXACT_LIMIT, bucket_floor, bucket_rows
 from .sinks import TraceSink, edge_outcomes
 
-__all__ = ["EXACT_LIMIT", "HistogramSink", "OnlineHistogram"]
+__all__ = ["Histogram", "HistogramSink"]
+
+#: Values below this are counted in exact (width-1) buckets.
+_EXACT_LIMIT = 16
 
 
-class OnlineHistogram:
-    """Streaming histogram: exact below 16, power-of-two buckets above."""
+def _bucket_floor(value: int) -> int:
+    """The smallest value of the bucket holding ``value``: the value
+    itself below 16, the largest power of two not above it from 16 on."""
+    if value < _EXACT_LIMIT:
+        return value
+    return 1 << (value.bit_length() - 1)
 
-    __slots__ = ("count", "total", "min", "max", "buckets")
+
+class Histogram:
+    """Streaming histogram: exact below 16, power-of-two buckets above.
+
+    A bucket is keyed by its floor (the smallest value it holds); its
+    inclusive upper bound doubles as the Prometheus ``le`` bound.
+    """
+
+    __slots__ = ("count", "sum", "min", "max", "buckets")
 
     def __init__(self) -> None:
         self.count = 0
-        self.total = 0
+        self.sum = 0
         self.min: Optional[int] = None
         self.max: Optional[int] = None
-        #: bucket lower bound -> number of samples in the bucket
+        #: bucket floor -> number of samples in the bucket (sparse)
         self.buckets: Dict[int, int] = {}
 
-    def add(self, value: int, count: int = 1) -> None:
+    def observe(self, value: int, count: int = 1) -> None:
         if value < 0:
-            raise ValueError(f"histogram values must be >= 0, got {value}")
+            raise ValueError(f"histogram samples must be >= 0, got {value}")
         self.count += count
-        self.total += value * count
+        self.sum += value * count
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        floor = bucket_floor(value)
+        floor = _bucket_floor(value)
         self.buckets[floor] = self.buckets.get(floor, 0) + count
 
-    def merge(self, other: "OnlineHistogram") -> None:
+    def merge(self, other: "Histogram") -> None:
         """Fold another histogram into this one (bucket-wise exact)."""
         self.count += other.count
-        self.total += other.total
-        if other.min is not None:
-            self.min = other.min if self.min is None else min(
-                self.min, other.min
-            )
-        if other.max is not None:
-            self.max = other.max if self.max is None else max(
-                self.max, other.max
-            )
+        self.sum += other.sum
+        if other.min is not None and (
+                self.min is None or other.min < self.min):
+            self.min = other.min
+        if other.max is not None and (
+                self.max is None or other.max > self.max):
+            self.max = other.max
         for floor, count in other.buckets.items():
             self.buckets[floor] = self.buckets.get(floor, 0) + count
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        return self.sum / self.count if self.count else 0.0
 
     def bucket_rows(self) -> List[Tuple[int, int, int]]:
         """Sorted ``(lo, hi_inclusive, count)`` rows for reporting."""
-        return bucket_rows(self.buckets)
+        return [
+            (floor, floor if floor < _EXACT_LIMIT else 2 * floor - 1,
+             self.buckets[floor])
+            for floor in sorted(self.buckets)
+        ]
 
-    def percentile(self, fraction: float) -> int:
-        """Upper bound of the bucket containing the given quantile.
-
-        Exact for values < 16; a power-of-two overestimate above.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be within [0, 1]")
-        if self.count == 0:
-            return 0
-        threshold = fraction * self.count
+    def cumulative(self) -> List[Tuple[int, int]]:
+        """Sorted ``(le, cumulative_count)`` rows: the Prometheus
+        ``_bucket`` series without its ``+Inf`` row."""
         running = 0
-        for lo, hi, count in self.bucket_rows():
+        rows: List[Tuple[int, int]] = []
+        for _, hi, count in self.bucket_rows():
             running += count
-            if running >= threshold:
-                return hi
-        return self.max or 0
+            rows.append((hi, running))
+        return rows
 
     def to_dict(self) -> dict:
         return {
             "count": self.count,
-            "total": self.total,
+            "sum": self.sum,
             "min": self.min,
             "max": self.max,
-            "mean": self.mean,
             "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "OnlineHistogram":
-        hist = cls()
-        hist.count = int(payload["count"])
-        hist.total = int(payload["total"])
-        hist.min = payload["min"]
-        hist.max = payload["max"]
-        hist.buckets = {
-            int(k): int(v) for k, v in payload["buckets"].items()
-        }
-        return hist
 
-    def __repr__(self) -> str:
-        return (
-            f"OnlineHistogram(count={self.count}, mean={self.mean:.2f}, "
-            f"min={self.min}, max={self.max})"
-        )
-
-
-def _out_degree_histogram(graph) -> OnlineHistogram:
+def _out_degree_histogram(graph) -> Histogram:
     """Per-variable var-var out-degree of ``graph``'s stored edges.
 
     Edges are read through ``find`` and deduplicated, self loops
@@ -138,9 +126,9 @@ def _out_degree_histogram(graph) -> OnlineHistogram:
     edges = {(find(left), find(right))
              for left, right in graph.var_var_edges()}
     degrees = Counter(left for left, right in edges if left != right)
-    hist = OnlineHistogram()
+    hist = Histogram()
     for degree in degrees.values():
-        hist.add(degree)
+        hist.observe(degree)
     return hist
 
 
@@ -150,7 +138,7 @@ class HistogramSink(TraceSink):
     Maintains, entirely online:
 
     * ``search_visits`` — nodes visited per partial cycle search (the
-      distribution whose mean Theorem 5.2 bounds at ≈2.2);
+      distribution whose mean Theorem 5.2 bounds);
     * ``cycle_lengths`` — length of each collapsed cycle;
     * fan-out — per-variable var-var out-degree of the latest segment's
       graph (:func:`_out_degree_histogram`, computed at each segment end:
@@ -165,8 +153,8 @@ class HistogramSink(TraceSink):
 
     def __init__(self, label: str = "") -> None:
         self.label = label
-        self.search_visits = OnlineHistogram()
-        self.cycle_lengths = OnlineHistogram()
+        self.search_visits = Histogram()
+        self.cycle_lengths = Histogram()
         self.searches = 0
         self.search_hits = 0
         self.collapses = 0
@@ -176,7 +164,7 @@ class HistogramSink(TraceSink):
         self.clashes = 0
         #: edge outcome -> count (added/redundant/self/cycle)
         self.edge_outcomes: Dict[str, int] = {}
-        self._fanout = OnlineHistogram()
+        self._fanout = Histogram()
         #: search hits since the last segment end
         self._segment_hits = 0
         #: phase name -> accumulated seconds
@@ -199,11 +187,11 @@ class HistogramSink(TraceSink):
         self._fanout = _out_degree_histogram(graph)
 
     def search_end(self, found, visits, length):
-        self.search_visits.add(visits)
+        self.search_visits.observe(visits)
         if found:
             self.search_hits += 1
             self._segment_hits += 1
-            self.cycle_lengths.add(length)
+            self.cycle_lengths.observe(length)
 
     def sweep(self, eliminated):
         self.sweeps += 1
@@ -228,7 +216,7 @@ class HistogramSink(TraceSink):
         self.spans.append((name, now, now))
 
     # -- derived --------------------------------------------------------
-    def fanout_histogram(self) -> OnlineHistogram:
+    def fanout_histogram(self) -> Histogram:
         """Per-variable var-var out-degree of the latest segment's graph
         (summed bucket-wise over merged runs)."""
         return self._fanout

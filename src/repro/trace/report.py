@@ -6,25 +6,33 @@ assembles a :class:`TraceReport` that answers the paper's
 per-operation questions directly from live telemetry:
 
 * the **empirical mean partial-search visit count** per experiment —
-  the quantity Theorem 5.2 bounds at ≈2.2 nodes for sparse graphs;
+  the quantity Theorem 5.2 bounds for sparse graphs;
 * the **per-representation online detection rate** — variables
   eliminated online over variables in non-trivial SCCs of the final
-  graph, Figure 11's IF ≈ 80 % vs SF ≈ 40 % split;
+  graph, Figure 11's IF vs SF split;
 * visit-depth / cycle-length / fan-out distributions and per-phase
   wall-time totals, with the raw spans exportable as a Chrome/Perfetto
   trace.
 
-The report rides on :class:`repro.experiments.runner.SuiteResults`
-(``sink_factory`` hook), so traced runs take the exact measurement path
-the tables, figures, and regression baselines use — attaching the sink
-cannot change any deterministic counter.
+Both come from :func:`repro.experiments.figures.paper_checks`, the
+one place the paper's reference values live.  The report rides on
+:class:`repro.experiments.runner.SuiteResults` (``sink_factory``
+hook), so traced runs take the exact measurement path the tables,
+figures, and regression baselines use — attaching the sink cannot
+change any deterministic counter.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..experiments.runner import RunRecord, SuiteResults
+from ..experiments.figures import (
+    CHECK_DETECTION,
+    CHECK_VISITS,
+    PaperCheck,
+    paper_checks,
+)
+from ..experiments.runner import SuiteResults
 from ..graph.stats import SolverStats
 from .chrome import chrome_document, spans_to_chrome
 from .histogram import HistogramSink
@@ -33,20 +41,14 @@ from .histogram import HistogramSink
 #: search/elimination behaviour is what the subsystem exists to observe.
 DEFAULT_EXPERIMENTS = ("SF-Online", "IF-Online")
 
-#: Paper reference points quoted in the rendered report.
-PAPER_MEAN_VISITS = 2.2
-PAPER_DETECTION = {"IF-Online": 0.80, "SF-Online": 0.40}
-
 
 class TracedRun:
     """One (benchmark, experiment) run: counters plus telemetry."""
 
     def __init__(self, benchmark: str, experiment: str,
-                 record: RunRecord, stats: SolverStats,
-                 telemetry: HistogramSink) -> None:
+                 stats: SolverStats, telemetry: HistogramSink) -> None:
         self.benchmark = benchmark
         self.experiment = experiment
-        self.record = record
         self.stats = stats
         self.telemetry = telemetry
 
@@ -76,24 +78,19 @@ class TraceReport:
     def runs_for(self, experiment: str) -> List[TracedRun]:
         return [run for run in self.runs if run.experiment == experiment]
 
-    def mean_search_visits(self, experiment: str) -> float:
-        """Suite-wide empirical mean visits per partial search."""
-        visits = searches = 0
-        for run in self.runs_for(experiment):
-            visits += run.stats.cycle_search_visits
-            searches += run.stats.cycle_searches
-        return visits / searches if searches else 0.0
-
-    def detection_rate(self, experiment: str) -> float:
-        """Mean per-benchmark Figure-11 fraction (cycle vars found)."""
-        fractions = []
-        for run in self.runs_for(experiment):
-            denominator = self.scc_vars.get(run.benchmark, 0)
-            if denominator:
-                fractions.append(
-                    run.stats.vars_eliminated / denominator
-                )
-        return sum(fractions) / len(fractions) if fractions else 0.0
+    def paper_checks(self) -> List[PaperCheck]:
+        """:func:`~repro.experiments.figures.paper_checks` over the
+        traced runs, with the suite's final-SCC denominators."""
+        return paper_checks(
+            {
+                experiment: {
+                    run.benchmark: run.stats
+                    for run in self.runs_for(experiment)
+                }
+                for experiment in self.experiments
+            },
+            self.scc_vars,
+        )
 
     def merged_telemetry(self, experiment: str) -> HistogramSink:
         merged = HistogramSink(label=experiment)
@@ -126,19 +123,20 @@ class TraceReport:
         )
 
     def to_dict(self) -> dict:
+        aggregates: Dict[str, Dict[str, float]] = {
+            experiment: {} for experiment in self.experiments
+        }
+        keys = {CHECK_VISITS: "mean_search_visits",
+                CHECK_DETECTION: "detection_rate"}
+        for check, experiment, measured, _ in self.paper_checks():
+            if check in keys:
+                aggregates[experiment][keys[check]] = measured
         return {
             "suite": self.suite,
             "seed": self.seed,
             "experiments": list(self.experiments),
             "scc_vars": dict(sorted(self.scc_vars.items())),
-            "aggregates": {
-                experiment: {
-                    "mean_search_visits":
-                        self.mean_search_visits(experiment),
-                    "detection_rate": self.detection_rate(experiment),
-                }
-                for experiment in self.experiments
-            },
+            "aggregates": aggregates,
             "runs": [run.to_dict() for run in self.runs],
         }
 
@@ -168,19 +166,8 @@ class TraceReport:
             )
         lines.append("")
         for experiment in self.experiments:
-            mean_visits = self.mean_search_visits(experiment)
-            detection = self.detection_rate(experiment)
-            reference = PAPER_DETECTION.get(experiment)
-            reference_text = (
-                f" (paper ≈{reference:.0%})" if reference else ""
-            )
-            lines.append(
-                f"{experiment}: mean partial-search visits "
-                f"{mean_visits:.2f} (paper ≈{PAPER_MEAN_VISITS}), "
-                f"cycle-variable detection {detection:.0%}"
-                f"{reference_text}"
-            )
             telemetry = self.merged_telemetry(experiment)
+            lines.append(f"{experiment}:")
             lines.append(
                 "  visit depth: "
                 + _histogram_line(telemetry.search_visits)
@@ -200,14 +187,20 @@ class TraceReport:
                 )
             )
             lines.append(f"  phases: {phase_totals or '-'}")
-        if len(self.experiments) >= 2:
-            if_rate = self.detection_rate("IF-Online")
-            sf_rate = self.detection_rate("SF-Online")
-            if sf_rate:
-                lines.append(
-                    f"IF/SF detection ratio: {if_rate / sf_rate:.2f} "
-                    f"(paper ≈2.0)"
-                )
+        lines.append("")
+        lines.append(
+            f"{'paper check':<36} {'experiment':<10} "
+            f"{'measured':>8} {'paper':>6}"
+        )
+        for check, experiment, measured, paper in self.paper_checks():
+            if check == CHECK_DETECTION:
+                measured_text, paper_text = f"{measured:.0%}", f"{paper:.0%}"
+            else:
+                measured_text, paper_text = f"{measured:.2f}", f"{paper:g}"
+            lines.append(
+                f"{check:<36} {experiment:<10} "
+                f"{measured_text:>8} {'≈' + paper_text:>6}"
+            )
         return "\n".join(lines)
 
 
@@ -262,12 +255,10 @@ def trace_suite(
             bench.name
         ).final_scc_vars
         for experiment in experiments:
-            record = results.run(bench.name, experiment)
             solution = results.solution(bench.name, experiment)
             run = TracedRun(
                 benchmark=bench.name,
                 experiment=experiment,
-                record=record,
                 stats=solution.stats,
                 telemetry=sinks[(bench.name, experiment)],
             )

@@ -94,6 +94,57 @@ class TestFigures:
             assert "allroots" in text or "AST nodes" in text
 
 
+class TestPaperChecks:
+    @staticmethod
+    def stats(searches, visits, eliminated):
+        from repro.graph.stats import SolverStats
+
+        return SolverStats(cycle_searches=searches,
+                           cycle_search_visits=visits,
+                           vars_eliminated=eliminated)
+
+    def test_visits_are_a_ratio_of_sums(self):
+        from repro.experiments.figures import (
+            CHECK_VISITS,
+            PAPER_MEAN_VISITS,
+            paper_checks,
+        )
+
+        rows = paper_checks({"SF-Online": {
+            "a": self.stats(1, 1, 0), "b": self.stats(3, 9, 0),
+        }})
+        assert rows == [(CHECK_VISITS, "SF-Online", 2.5, PAPER_MEAN_VISITS)]
+
+    def test_figure11_rows_need_denominators(self):
+        from repro.experiments.figures import (
+            CHECK_DETECTION,
+            CHECK_RATIO,
+            PAPER_DETECTION,
+            PAPER_DETECTION_RATIO,
+            paper_checks,
+        )
+
+        runs = {
+            "SF-Online": {"a": self.stats(1, 1, 1), "b": self.stats(1, 1, 0),
+                          "c": self.stats(1, 1, 0)},
+            "IF-Online": {"a": self.stats(1, 1, 4), "b": self.stats(1, 1, 2),
+                          "c": self.stats(1, 1, 0)},
+        }
+        assert all(row[0] not in (CHECK_DETECTION, CHECK_RATIO)
+                   for row in paper_checks(runs))
+        # "c" has no cycle variables and "b" none found by SF: the means
+        # are over "a" and "b" (some experiment found one in each).
+        rows = paper_checks(runs, {"a": 4, "b": 4, "c": 0})
+        assert rows[2:] == [
+            (CHECK_DETECTION, "SF-Online", 0.125,
+             PAPER_DETECTION["SF-Online"]),
+            (CHECK_DETECTION, "IF-Online", 0.75,
+             PAPER_DETECTION["IF-Online"]),
+            (CHECK_RATIO, "IF/SF", 6.0, PAPER_DETECTION_RATIO),
+        ]
+        assert PAPER_DETECTION_RATIO == 2.0
+
+
 class TestReportFormatting:
     def test_format_table_alignment(self):
         from repro.experiments.report import format_table

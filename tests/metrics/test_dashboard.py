@@ -68,10 +68,21 @@ class TestTrends:
         for label, trend in trends.items():
             assert len(trend.work) == len(points)
             if label.endswith("-Online"):
-                assert trend.visits_per_insertion[0] > 0
-                assert 0 < trend.detection_rate[0] <= 1
+                totals = {}
+                for record in read_baseline_payload()["records"]:
+                    if record["experiment"] == label:
+                        for key, value in record["counters"].items():
+                            totals[key] = totals.get(key, 0) + value
+                searches = totals["cycle_searches"]
+                assert trend.mean_search_visits[0] == (
+                    totals["cycle_search_visits"] / searches
+                )
+                assert trend.hit_rate[0] == (
+                    totals["cycles_found"] / searches
+                )
+                assert 0 < trend.hit_rate[0] <= 1
             else:
-                assert trend.visits_per_insertion[0] == 0.0
+                assert trend.mean_search_visits[0] == 0.0
 
 
 class TestFlags:
@@ -155,6 +166,18 @@ class TestHtml:
 
         html = self.build(tmp_path, worsen)
         assert "regression" in html.lower()
+
+    def test_paper_lines_compare_like_with_like(self, tmp_path):
+        """Theorem 5.2's 2.2 sits on per-search means, and no hit rate
+        is labelled as Figure 11 (bench reports have no SCC count)."""
+        html = self.build(tmp_path)
+        assert "Fig. 11" not in html
+        charts = html.split('<div class="chart">')[1:]
+        (visits,) = [chart for chart in charts if "Thm 5.2" in chart]
+        assert "SF-Online — baseline: 1.33 visits / search" in visits
+        assert "IF-Online — baseline: 1.7 visits / search" in visits
+        (hits,) = [chart for chart in charts if "hit rate" in chart]
+        assert "paper" not in hits and "stroke-dasharray" not in hits
 
     def test_dashboard_data_counts(self, tmp_path):
         data = build_dashboard_data(

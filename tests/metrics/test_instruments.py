@@ -1,7 +1,15 @@
 """Instrument and family semantics."""
 
-import pytest
+import json
+import os
+import subprocess
+import sys
+import urllib.request
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.metrics import MetricsRegistry, validate_exposition
 from repro.metrics.instruments import (
     Counter,
     Family,
@@ -10,7 +18,6 @@ from repro.metrics.instruments import (
     valid_label_name,
     valid_metric_name,
 )
-from repro.trace.buckets import bucket_floor
 
 
 class TestCounter:
@@ -44,10 +51,13 @@ class TestHistogram:
         assert hist.mean == 319 / 4
 
     def test_buckets_shared_with_trace(self):
-        """Metrics histograms use the trace-side bucket boundaries."""
+        """Metrics histograms are the trace-side histogram type."""
+        from repro.trace import Histogram as TraceHistogram
+
+        assert Histogram is TraceHistogram
         hist = Histogram()
         hist.observe(17)
-        assert list(hist.buckets) == [bucket_floor(17)]
+        assert list(hist.buckets) == [16]
 
     def test_cumulative_monotone(self):
         hist = Histogram()
@@ -109,3 +119,93 @@ class TestNames:
         assert valid_label_name("form")
         assert not valid_label_name("__reserved")
         assert not valid_label_name("has-dash")
+
+
+#: (sample, multiplicity) streams for the one histogram type.
+SAMPLES = st.lists(
+    st.tuples(st.integers(0, 5000), st.integers(1, 3)), max_size=40,
+)
+
+
+def parent_format(family_dict):
+    """A family snapshot as written before histograms kept min/max."""
+    for row in family_dict["series"]:
+        del row["min"], row["max"]
+    return family_dict
+
+
+class TestOneHistogram:
+    @given(SAMPLES, st.integers(0, 40))
+    def test_split_then_merge_equals_whole_stream(self, samples, cut):
+        left, right, whole = Histogram(), Histogram(), Histogram()
+        for value, count in samples[:cut]:
+            left.observe(value, count)
+        for value, count in samples[cut:]:
+            right.observe(value, count)
+        for value, count in samples:
+            whole.observe(value, count)
+        left.merge(right)
+        assert left.to_dict() == whole.to_dict()
+
+    @given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 5000)),
+                    max_size=40))
+    def test_snapshot_into_fresh_registry_exposes_same_text(self, samples):
+        registry = MetricsRegistry()
+        family = registry.histogram("h", "help", ("k",))
+        for label, value in samples:
+            family.labels(label).observe(value)
+        fresh = MetricsRegistry()
+        fresh.histogram("h", "help", ("k",)).merge_dict(family.to_dict())
+        assert fresh.expose() == registry.expose()
+        assert fresh.snapshot() == registry.snapshot()
+
+    @given(SAMPLES)
+    def test_parent_format_row_still_merges(self, samples):
+        registry = MetricsRegistry()
+        family = registry.histogram("h", "help")
+        for value, count in samples:
+            family.labels().observe(value, count)
+        fresh = MetricsRegistry()
+        fresh.histogram("h", "help").merge_dict(
+            parent_format(family.to_dict())
+        )
+        loaded = fresh.histogram("h", "help").labels()
+        original = family.labels()
+        assert (loaded.count, loaded.sum, loaded.buckets) == (
+            original.count, original.sum, original.buckets
+        )
+        assert fresh.expose() == registry.expose()
+
+    def test_parent_format_snapshot_serves(self, tmp_path):
+        registry = MetricsRegistry()
+        family = registry.histogram("h", "help", ("k",))
+        for value in (1, 17, 300):
+            family.labels("v").observe(value)
+        snapshot = registry.snapshot()
+        snapshot["families"] = [
+            parent_format(entry) for entry in snapshot["families"]
+        ]
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(snapshot), encoding="utf-8")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        server = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.metrics", "serve",
+             "--port", "0", "--snapshot", str(path)],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            line = ""
+            while "serving metrics on" not in line:
+                line = server.stdout.readline()
+                assert line, "server exited before serving"
+            url = line.split("serving metrics on ", 1)[1].strip()
+            with urllib.request.urlopen(url, timeout=10) as response:
+                text = response.read().decode("utf-8")
+        finally:
+            server.terminate()
+            server.wait(timeout=10)
+            server.stdout.close()
+        assert validate_exposition(text) == []
+        assert text == registry.expose()

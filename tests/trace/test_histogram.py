@@ -1,65 +1,55 @@
-"""OnlineHistogram bucketing and HistogramSink telemetry correctness."""
+"""Histogram bucketing and HistogramSink telemetry correctness."""
 
 import pytest
 
 from repro import ConstraintSystem
 from repro.graph import CreationOrder
 from repro.solver import CyclePolicy, GraphForm, SolverOptions, solve
-from repro.trace import HistogramSink, OnlineHistogram
+from repro.trace import Histogram, HistogramSink
 
 
 class TestOnlineHistogram:
+    """The streaming ``Histogram`` shared by trace and metrics."""
+
     def test_exact_below_limit(self):
-        hist = OnlineHistogram()
+        hist = Histogram()
         for value in (0, 1, 1, 3, 15):
-            hist.add(value)
+            hist.observe(value)
         assert hist.count == 5
-        assert hist.total == 20
+        assert hist.sum == 20
         assert (hist.min, hist.max) == (0, 15)
         assert hist.buckets == {0: 1, 1: 2, 3: 1, 15: 1}
         assert hist.mean == 4.0
 
     def test_power_of_two_buckets_above_limit(self):
-        hist = OnlineHistogram()
+        hist = Histogram()
         for value in (16, 17, 31, 32, 100, 1000):
-            hist.add(value)
+            hist.observe(value)
         assert hist.buckets == {16: 3, 32: 1, 64: 1, 512: 1}
-        # count/total/min/max stay exact even though buckets are coarse.
-        assert hist.total == 16 + 17 + 31 + 32 + 100 + 1000
+        # count/sum/min/max stay exact even though buckets are coarse.
+        assert hist.sum == 16 + 17 + 31 + 32 + 100 + 1000
         assert (hist.min, hist.max) == (16, 1000)
         rows = hist.bucket_rows()
         assert rows[0] == (16, 31, 3)
         assert rows[-1] == (512, 1023, 1)
 
     def test_merge_matches_combined_stream(self):
-        left, right, combined = (
-            OnlineHistogram(), OnlineHistogram(), OnlineHistogram()
-        )
+        left, right, combined = Histogram(), Histogram(), Histogram()
         for value in (1, 2, 40):
-            left.add(value)
-            combined.add(value)
+            left.observe(value)
+            combined.observe(value)
         for value in (2, 17):
-            right.add(value)
-            combined.add(value)
+            right.observe(value)
+            combined.observe(value)
         left.merge(right)
         assert left.buckets == combined.buckets
         assert left.count == combined.count
-        assert left.total == combined.total
+        assert left.sum == combined.sum
         assert (left.min, left.max) == (combined.min, combined.max)
-
-    def test_percentile_and_dict_round_trip(self):
-        hist = OnlineHistogram()
-        for value in (1, 1, 1, 2, 3, 20):
-            hist.add(value)
-        assert hist.percentile(0.5) == 1
-        assert hist.percentile(1.0) == 31  # bucket upper bound
-        back = OnlineHistogram.from_dict(hist.to_dict())
-        assert back.buckets == hist.buckets
-        assert back.total == hist.total
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            OnlineHistogram().add(-1)
+            Histogram().observe(-1)
 
 
 def solve_three_cycle(sink):
@@ -85,13 +75,13 @@ class TestHistogramSink:
         # Histograms agree with the solver's deterministic counters.
         assert sink.searches == stats.cycle_searches
         assert sink.search_visits.count == stats.cycle_searches
-        assert sink.search_visits.total == stats.cycle_search_visits
+        assert sink.search_visits.sum == stats.cycle_search_visits
         assert sink.search_hits == stats.cycles_found
         assert sink.mean_search_visits == stats.mean_search_visits
         # The 3-cycle collapses down to one representative.
         assert stats.vars_eliminated == 2
         assert sink.cycle_lengths.count == sink.search_hits >= 1
-        assert sink.cycle_lengths.total >= 2 * sink.search_hits
+        assert sink.cycle_lengths.sum >= 2 * sink.search_hits
         assert sink.hit_rate == pytest.approx(
             stats.cycles_found / stats.cycle_searches
         )
@@ -136,7 +126,7 @@ class TestHistogramSink:
         ))
         hist = sink.fanout_histogram()
         assert hist.count == 1
-        assert hist.total == 2
+        assert hist.sum == 2
 
     @pytest.mark.parametrize("form", list(GraphForm))
     def test_plain_fanout_is_out_degree_of_added_vv_events(self, form):
@@ -160,9 +150,9 @@ class TestHistogramSink:
             if (event.name == "edge" and args["kind"] == "vv"
                     and args["outcome"] == "added"):
                 degrees[args["src"]] = degrees.get(args["src"], 0) + 1
-        expected = OnlineHistogram()
+        expected = Histogram()
         for degree in degrees.values():
-            expected.add(degree)
+            expected.observe(degree)
         assert expected.count > 5
         assert sink.fanout_histogram().to_dict() == expected.to_dict()
 
@@ -192,8 +182,8 @@ class TestHistogramSink:
         merged.merge(first)
         merged.merge(second)
         assert merged.searches == first.searches + second.searches
-        assert merged.search_visits.total == (
-            first.search_visits.total + second.search_visits.total
+        assert merged.search_visits.sum == (
+            first.search_visits.sum + second.search_visits.sum
         )
         assert merged.mean_search_visits == pytest.approx(
             first.mean_search_visits
