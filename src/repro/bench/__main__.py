@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional
 
 from .baseline import (
@@ -28,7 +29,6 @@ from .baseline import (
     write_next_report,
     write_report,
 )
-from ..parallel.pool import ParallelError
 from .compare import IncomparableReportsError, compare_reports
 from .harness import (
     BenchTimeoutError,
@@ -142,7 +142,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BenchTimeoutError as error:
         print(f"timeout: {error}", file=sys.stderr)
         return 3
-    except ParallelError as error:
+    except BrokenProcessPool as error:
         print(f"parallel run failed: {error}", file=sys.stderr)
         return 2
     print()

@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ReproError
-from ..experiments.config import EXPERIMENT_LABELS, options_for
-from ..resilience.budget import SolveBudget
-from ..resilience.errors import BudgetExceededError
+from ..experiments.config import EXPERIMENT_LABELS
+from ..parallel import map_tasks
+from ..parallel.tasks import bench_task
 from ..workloads import suite
-from .measure import measure_system
 
 #: Format version of the serialized report; bump on breaking changes.
 #: v2 added the ``git_sha``/``timestamp`` provenance stamps so the
@@ -213,123 +212,86 @@ def run_bench(
     cost, which is why traced reports should not be promoted to timing
     baselines.
 
-    ``timeout_seconds`` bounds the *whole suite run* by wall clock: the
-    remaining allowance is wired into each solve as a
+    ``timeout_seconds`` bounds the *whole suite run* by wall clock: one
+    absolute deadline is passed to every (benchmark, experiment) task,
+    whose remaining allowance becomes the solve's
     :class:`~repro.resilience.budget.SolveBudget` deadline, so even a
-    single hung closure cannot stall the job — it raises
-    :class:`BenchTimeoutError` (as does starting a run after the
-    deadline has passed).  Deterministic counters are unaffected by the
-    budget machinery; wall times carry a small polling cost, so
-    timeout-bounded reports should not be promoted to timing baselines
-    either.
+    single hung closure cannot stall the job.  The first task, in
+    submission order, that starts after the deadline or runs into it
+    raises :class:`BenchTimeoutError`.  Deterministic counters are
+    unaffected by the budget machinery; wall times carry a small
+    polling cost, so timeout-bounded reports should not be promoted to
+    timing baselines either.
 
     ``metrics_dir`` attaches a :class:`repro.metrics.sink.MetricsSink`
-    (labeled with the suite, benchmark, form and mode of every run) to
-    a fresh :class:`~repro.metrics.registry.MetricsRegistry` and writes
-    ``metrics.json`` (a loadable snapshot) and ``metrics.prom``
+    (labeled with the suite, benchmark, form and mode of every run) and
+    writes ``metrics.json`` (a loadable snapshot) and ``metrics.prom``
     (Prometheus text exposition) into that directory after the suite
     completes.  The same observe-don't-steer contract applies: counters
     in the report are unchanged, wall times carry the observation cost.
 
-    ``jobs > 1`` shards the (benchmark, experiment) pairs across a
-    :mod:`repro.parallel` worker pool (``jobs <= 0`` means one worker
-    per core).  The report's deterministic fields are byte-identical to
-    a serial run — results merge in task submission order — and only
-    ``wall_times`` / ``median_seconds`` / ``timestamp`` differ.
-    ``timeout_seconds`` then bounds the whole run *and* each individual
-    solve (crashed or hung workers are retried once, then reported);
-    trace and metrics artifacts are merged across workers in the same
-    task order.
+    ``jobs`` is the number of worker processes
+    (:func:`repro.parallel.map_tasks`: 1 runs in this process, ``<= 0``
+    means one per core).  Every task returns its record, telemetry and
+    metrics snapshot, and they merge in submission order whatever
+    ``jobs`` is, so the report's deterministic fields and artifacts do
+    not depend on it; only ``wall_times`` / ``median_seconds`` /
+    ``timestamp`` and ``*_seconds`` samples differ.
     """
-    if jobs != 1:
-        return _run_bench_parallel(
-            suite_name=suite_name,
-            experiments=experiments,
-            seed=seed,
-            repeats=repeats,
-            benchmarks=benchmarks,
-            progress=progress,
-            trace_dir=trace_dir,
-            timeout_seconds=timeout_seconds,
-            metrics_dir=metrics_dir,
-            jobs=jobs,
-        )
+    labels = list(experiments) if experiments else list(EXPERIMENT_LABELS)
     deadline = (
         None if timeout_seconds is None
-        else time.perf_counter() + timeout_seconds
+        else time.monotonic() + timeout_seconds
     )
-    labels = list(experiments) if experiments else list(EXPERIMENT_LABELS)
-    selected = _select_benchmarks(suite_name, benchmarks)
-    metrics_registry = None
+    payloads = [
+        {
+            "suite": suite_name,
+            "benchmark": bench.name,
+            "experiment": label,
+            "seed": seed,
+            "repeats": repeats,
+            "trace": trace_dir is not None,
+            "metrics": metrics_dir is not None,
+            "deadline": deadline,
+        }
+        for bench in _select_benchmarks(suite_name, benchmarks)
+        for label in labels
+    ]
+    registry = None
     if metrics_dir is not None:
         from ..metrics.registry import MetricsRegistry
 
-        metrics_registry = MetricsRegistry()
+        registry = MetricsRegistry()
     telemetry: List[tuple] = []
     records: List[BenchRecord] = []
-    for bench in selected:
-        system = bench.program.system  # build outside the timed region
-        for label in labels:
-            options = options_for(label, seed=seed)
-            if deadline is not None:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    raise BenchTimeoutError(
-                        f"suite {suite_name!r} exceeded its "
-                        f"{timeout_seconds:.0f}s timeout before "
-                        f"{bench.name}/{label}",
-                        completed=len(records),
-                    )
-                options = options.replace(
-                    budget=SolveBudget(deadline_seconds=remaining)
-                )
-            sink = None
-            if trace_dir is not None:
-                from ..trace.histogram import HistogramSink
-
-                sink = HistogramSink(label=f"{bench.name}/{label}")
-            if metrics_registry is not None:
-                from ..metrics.sink import MetricsSink
-                from ..trace.sinks import combine
-
-                metrics_sink = MetricsSink.for_options(
-                    options,
-                    registry=metrics_registry,
-                    suite=suite_name,
-                    benchmark=bench.name,
-                )
-                options = options.replace(
-                    sink=combine(sink, metrics_sink)
-                )
-            elif sink is not None:
-                options = options.replace(sink=sink)
-            try:
-                measured = measure_system(system, options, repeats=repeats)
-            except BudgetExceededError as error:
-                raise BenchTimeoutError(
-                    f"suite {suite_name!r} exceeded its "
-                    f"{timeout_seconds:.0f}s timeout inside "
-                    f"{bench.name}/{label}: {error}",
-                    completed=len(records),
-                ) from error
-            if sink is not None:
-                telemetry.append(
-                    (bench.name, label, sink.summary(), sink.spans)
-                )
-            records.append(
-                BenchRecord(
-                    benchmark=bench.name,
-                    experiment=label,
-                    counters=measured.counters,
-                    wall_times=measured.wall_times,
-                )
+    for payload, result in zip(payloads,
+                               map_tasks(bench_task, payloads, jobs)):
+        name, label = payload["benchmark"], payload["experiment"]
+        if result["status"] == "timeout":
+            raise BenchTimeoutError(
+                f"suite {suite_name!r} exceeded its "
+                f"{timeout_seconds:.0f}s timeout inside "
+                f"{name}/{label}: {result['detail']}",
+                completed=len(records),
             )
-            if progress is not None:
-                progress(
-                    f"{bench.name:<14} {label:<10} "
-                    f"work={measured.counters['work']:>9} "
-                    f"median={measured.median_seconds * 1000:8.1f}ms"
-                )
+        record = BenchRecord(
+            benchmark=name,
+            experiment=label,
+            counters=result["counters"],
+            wall_times=result["wall_times"],
+        )
+        records.append(record)
+        if result["telemetry"] is not None:
+            telemetry.append((name, label, result["telemetry"]["summary"],
+                              result["telemetry"]["spans"]))
+        if registry is not None:
+            registry.load_snapshot(result["metrics"])
+        if progress is not None:
+            progress(
+                f"{name:<14} {label:<10} "
+                f"work={record.work:>9} "
+                f"median={record.median_seconds * 1000:8.1f}ms"
+            )
     report = BenchReport(
         suite=suite_name,
         seed=seed,
@@ -339,8 +301,8 @@ def run_bench(
     )
     if trace_dir is not None:
         _write_trace_outputs(report, telemetry, trace_dir)
-    if metrics_registry is not None and metrics_dir is not None:
-        _write_metrics_outputs(report, metrics_registry, metrics_dir)
+    if registry is not None:
+        _write_metrics_outputs(report, registry, metrics_dir)
     return report
 
 
@@ -357,144 +319,6 @@ def _select_benchmarks(suite_name: str,
                 f"benchmarks not in suite {suite_name!r}: {sorted(missing)}"
             )
     return selected
-
-
-def _run_bench_parallel(
-    suite_name: str,
-    experiments: Optional[Iterable[str]],
-    seed: int,
-    repeats: int,
-    benchmarks: Optional[Iterable[str]],
-    progress: Optional[Callable[[str], None]],
-    trace_dir: Optional[str],
-    timeout_seconds: Optional[float],
-    metrics_dir: Optional[str],
-    jobs: int,
-) -> BenchReport:
-    """The ``jobs != 1`` harness path: shard pairs over a worker pool.
-
-    One task per (benchmark, experiment) pair, merged back in task
-    submission order — the serial loop's order — so the report's
-    deterministic fields cannot depend on worker scheduling.
-    """
-    from ..parallel.pool import TaskSpec, run_tasks
-    from ..parallel.tasks import bench_task
-
-    labels = list(experiments) if experiments else list(EXPERIMENT_LABELS)
-    selected = _select_benchmarks(suite_name, benchmarks)
-    tasks = [
-        TaskSpec(
-            key=f"{bench.name}/{label}",
-            payload={
-                "suite": suite_name,
-                "benchmark": bench.name,
-                "experiment": label,
-                "seed": seed,
-                "repeats": repeats,
-                "trace": trace_dir is not None,
-                "metrics": metrics_dir is not None,
-                "budget_seconds": timeout_seconds,
-            },
-            timeout=timeout_seconds,
-        )
-        for bench in selected
-        for label in labels
-    ]
-
-    def report_progress(result) -> None:
-        if progress is None:
-            return
-        if result.ok and result.value.get("status") == "ok":
-            counters = result.value["counters"]
-            times = sorted(result.value["wall_times"])
-            mid = len(times) // 2
-            median = (
-                times[mid] if len(times) % 2
-                else (times[mid - 1] + times[mid]) / 2
-            )
-            name, label = result.key.split("/", 1)
-            progress(
-                f"{name:<14} {label:<10} "
-                f"work={counters['work']:>9} "
-                f"median={median * 1000:8.1f}ms"
-            )
-        else:
-            progress(f"{result.key}: FAILED ({result.kind})")
-
-    results = run_tasks(
-        bench_task,
-        tasks,
-        jobs=jobs,
-        retries=1,
-        progress=report_progress,
-        overall_timeout=timeout_seconds,
-    )
-    completed = sum(
-        1 for result in results
-        if result.ok and result.value.get("status") == "ok"
-    )
-    timeouts = [
-        result for result in results
-        if (result.ok and result.value.get("status") == "timeout")
-        or (not result.ok and result.kind == "timeout")
-    ]
-    if timeouts:
-        first = timeouts[0]
-        detail = (
-            first.value["detail"] if first.ok else first.error
-        )
-        raise BenchTimeoutError(
-            f"suite {suite_name!r} exceeded its "
-            f"{timeout_seconds:.0f}s timeout inside {first.key}: "
-            f"{detail}",
-            completed=completed,
-        )
-    from ..parallel.pool import require_ok
-
-    require_ok(results)
-
-    records = []
-    telemetry: List[tuple] = []
-    metrics_snapshots: List[dict] = []
-    for spec, result in zip(tasks, results):
-        value = result.value
-        name = spec.payload["benchmark"]
-        label = spec.payload["experiment"]
-        records.append(
-            BenchRecord(
-                benchmark=name,
-                experiment=label,
-                counters={
-                    key: int(count)
-                    for key, count in value["counters"].items()
-                },
-                wall_times=[float(t) for t in value["wall_times"]],
-            )
-        )
-        if value.get("telemetry") is not None:
-            telemetry.append((
-                name,
-                label,
-                value["telemetry"]["summary"],
-                value["telemetry"]["spans"],
-            ))
-        if value.get("metrics") is not None:
-            metrics_snapshots.append(value["metrics"])
-    report = BenchReport(
-        suite=suite_name,
-        seed=seed,
-        repeats=repeats,
-        experiments=labels,
-        records=records,
-    )
-    if trace_dir is not None:
-        _write_trace_outputs(report, telemetry, trace_dir)
-    if metrics_dir is not None:
-        from ..parallel.merge import merge_metrics_snapshots
-
-        registry = merge_metrics_snapshots(metrics_snapshots)
-        _write_metrics_outputs(report, registry, metrics_dir)
-    return report
 
 
 def _write_metrics_outputs(report: BenchReport, registry,
@@ -521,10 +345,8 @@ def _write_trace_outputs(report: BenchReport, telemetry: List[tuple],
     """Write the --trace artifacts: telemetry summary + Chrome spans.
 
     ``telemetry`` holds ``(benchmark, experiment, summary, spans)``
-    tuples — already-serialized sink state, so the same writer serves
-    the serial path (live sinks, drained in place) and the parallel
-    path (sink state shipped back from workers over a pipe).  Span
-    times are ``perf_counter`` readings, which on this platform are
+    tuples — serialized sink state returned by each task.  Span times
+    are ``perf_counter`` readings, which on this platform are
     CLOCK_MONOTONIC and therefore comparable across processes.
     """
     import json
@@ -587,8 +409,7 @@ def render_report(report: BenchReport) -> str:
     return "\n".join(lines)
 
 
-def suite_results(which: str = "medium", seed: int = 0, repeats: int = 1,
-                  jobs: int = 1):
+def suite_results(which: str = "medium", seed: int = 0, repeats: int = 1):
     """Construct the experiment runner used by the benchmark scripts.
 
     The pytest benchmark scripts under ``benchmarks/`` build their
@@ -599,8 +420,7 @@ def suite_results(which: str = "medium", seed: int = 0, repeats: int = 1,
     """
     from ..experiments.runner import SuiteResults
 
-    return SuiteResults.for_suite(which, seed=seed, repeats=repeats,
-                                  jobs=jobs)
+    return SuiteResults.for_suite(which, seed=seed, repeats=repeats)
 
 
 def bench_once(benchmark, func):

@@ -1,27 +1,24 @@
 """Aggregated solver metrics: registry, exporters, dashboard.
 
 Where :mod:`repro.trace` answers "what did this one run do, event by
-event", ``repro.metrics`` answers "what has this *process* done so
-far" — the always-on, low-overhead aggregation layer a long-running
-service is monitored through:
+event", ``repro.metrics`` answers "what did these runs do in total" —
+the low-overhead aggregation layer behind ``repro.bench --metrics``:
 
 * **Instruments** (:mod:`repro.metrics.instruments`): ``Counter``,
   ``Gauge`` and ``Histogram`` families labeled by graph form, cycle
   policy, suite and benchmark.  ``Histogram`` is
   :class:`repro.trace.Histogram`: the repo has one histogram type.
-* **Registry** (:mod:`repro.metrics.registry`): a process-wide
+* **Registry** (:mod:`repro.metrics.registry`): a
   :class:`MetricsRegistry` with Prometheus text exposition
-  (:meth:`~MetricsRegistry.expose`), JSON snapshots, and periodic
-  flush-to-file for batch runs.
+  (:meth:`~MetricsRegistry.expose`) and JSON snapshots that load back
+  and accumulate (:meth:`~MetricsRegistry.load_snapshot`).
 * **Sink** (:mod:`repro.metrics.sink`): :class:`MetricsSink` adapts
   the registry onto the :class:`repro.trace.sinks.TraceSink` protocol,
   so metrics reuse the solver's existing instrumentation points; its
   counters are folded from ``SolverStats`` once per solve segment, so
   enabled metrics add no per-operation work.
-* **Exporters** (:mod:`repro.metrics.exposition`,
-  :mod:`repro.metrics.server`): exposition rendering + validation and
-  a stdlib-only HTTP scrape endpoint
-  (``python -m repro.metrics serve``).
+* **Exposition** (:mod:`repro.metrics.exposition`): Prometheus text
+  rendering + validation (``python -m repro.metrics check``).
 * **Dashboard** (:mod:`repro.metrics.dashboard`): ingests
   ``benchmarks/BASELINE.json``, ``BENCH_<n>.json`` reports and metric
   snapshots into a self-contained static HTML view of the benchmark
@@ -54,12 +51,10 @@ from .instruments import Counter, Family, Gauge, Histogram
 from .registry import (
     SNAPSHOT_SCHEMA_VERSION,
     MetricsRegistry,
-    PeriodicFlusher,
     default_registry,
     reset_default_registry,
 )
 from .sink import BASE_LABELS, MetricsSink
-from .server import serve, serve_in_thread
 
 __all__ = [
     "BASE_LABELS",
@@ -71,12 +66,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsSink",
-    "PeriodicFlusher",
     "SNAPSHOT_SCHEMA_VERSION",
     "default_registry",
     "render",
     "reset_default_registry",
-    "serve",
-    "serve_in_thread",
     "validate_exposition",
 ]

@@ -2,14 +2,9 @@
 
 Typical uses::
 
-    # Serve a scrape endpoint over one or more metric snapshots (as
-    # written by `python -m repro.bench --metrics DIR` or a
-    # PeriodicFlusher); loading several snapshots aggregates them.
-    python -m repro.metrics serve --snapshot metrics-out/metrics.json
-
-    # Validate a Prometheus text dump (CI scrapes the endpoint into a
-    # file, then format-checks it with this).
-    python -m repro.metrics check scraped.prom
+    # Validate a Prometheus text dump (as written by
+    # `python -m repro.bench --metrics DIR`).
+    python -m repro.metrics check metrics-out/metrics.prom
 
     # Build the benchmark-trajectory dashboard from the committed
     # baseline plus fresh BENCH reports and metric snapshots.
@@ -27,34 +22,15 @@ from typing import List, Optional
 
 from .dashboard import build_dashboard
 from .exposition import validate_exposition
-from .registry import MetricsRegistry, default_registry
-from .server import serve
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.metrics",
-        description="aggregated solver metrics: exposition endpoint, "
-                    "format checker, and benchmark dashboard",
+        description="aggregated solver metrics: exposition format "
+                    "checker and benchmark dashboard",
     )
     sub = parser.add_subparsers(dest="command")
-
-    serve_cmd = sub.add_parser(
-        "serve", help="expose a Prometheus /metrics endpoint",
-    )
-    serve_cmd.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default 127.0.0.1)",
-    )
-    serve_cmd.add_argument(
-        "--port", type=int, default=9464,
-        help="bind port (default 9464; 0 picks a free port)",
-    )
-    serve_cmd.add_argument(
-        "--snapshot", action="append", default=[], metavar="FILE",
-        help="load this metrics snapshot JSON into the served "
-             "registry (repeatable; snapshots aggregate)",
-    )
 
     check = sub.add_parser(
         "check", help="validate Prometheus text exposition format",
@@ -93,30 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit nonzero if any work-count regression is flagged",
     )
     return parser
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.snapshot:
-        import json
-
-        registry = MetricsRegistry()
-        for path in args.snapshot:
-            with open(path, "r", encoding="utf-8") as handle:
-                registry.load_snapshot(json.load(handle))
-        print(f"loaded {len(args.snapshot)} snapshot(s)")
-    else:
-        registry = default_registry()
-    server = serve(registry, args.host, args.port)
-    host, port = server.server_address[:2]
-    print(f"serving metrics on http://{host}:{port}/metrics",
-          flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -165,8 +117,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "serve":
-        return _cmd_serve(args)
     if args.command == "check":
         return _cmd_check(args)
     if args.command == "dashboard":

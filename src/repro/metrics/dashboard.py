@@ -80,7 +80,8 @@ class DashboardData:
     snapshot_rows: List[Tuple[str, str, float]]
     notes: List[str]
     #: the latest report's paper checks (Theorem 5.2 only: bench
-    #: reports carry no final-SCC denominator for Figure 11)
+    #: reports carry no final-SCC denominator for the detection
+    #: fraction)
     checks: List[PaperCheck]
 
 

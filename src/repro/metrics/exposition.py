@@ -7,8 +7,8 @@ children expanded into ``_bucket``/``_sum``/``_count`` series).
 
 :func:`validate_exposition` is the self-check used by tests and the CI
 ``metrics-smoke`` job: it re-parses exposition text and verifies the
-structural rules a real Prometheus scraper enforces — so "the endpoint
-serves valid text format" is a property the repo proves, not assumes.
+structural rules a real Prometheus scraper enforces — so "``metrics.prom``
+is valid text format" is a property the repo proves, not assumes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .instruments import (
     valid_metric_name,
 )
 
-#: Content type an HTTP endpoint should declare for this format.
+#: The media type of this format, for anything that serves it.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _VALID_TYPES = (COUNTER, GAUGE, HISTOGRAM, "summary", "untyped")

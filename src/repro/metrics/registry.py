@@ -12,10 +12,9 @@ metadata raises, because silently forking a metric is how dashboards
 end up lying.
 
 :func:`default_registry` is the process-wide instance.  It exists so
-long-running services and loosely coupled subsystems (the fuzz harness
-counts its disagreements there) share one exposition endpoint without
-threading a registry through every call path.  Solver instrumentation
-proper always goes through an explicit
+loosely coupled subsystems (the fuzz harness counts its disagreements
+there) share one registry without threading it through every call
+path.  Solver instrumentation proper always goes through an explicit
 :class:`~repro.metrics.sink.MetricsSink`, so the default registry stays
 empty unless something is actually being measured.
 
@@ -124,9 +123,9 @@ class MetricsRegistry:
 
         Families are registered on demand from the snapshot metadata;
         counters and histogram buckets accumulate, gauges take the
-        snapshot value — so loading N batch-run snapshots into one
-        registry yields the aggregate a long-running service would have
-        accumulated live.
+        snapshot value — so loading N per-run snapshots into one
+        registry, in run order, yields what one registry shared by
+        those runs would hold.
         """
         version = payload.get("schema_version")
         if version != SNAPSHOT_SCHEMA_VERSION:
@@ -145,7 +144,7 @@ class MetricsRegistry:
         """Write :meth:`snapshot` to ``path`` atomically; returns path.
 
         The snapshot is written to a sibling temp file and renamed into
-        place, so a scraper or a crash mid-flush never observes a torn
+        place, so a reader or a crash mid-flush never observes a torn
         JSON document.
         """
         parent = os.path.dirname(path)
@@ -158,59 +157,6 @@ class MetricsRegistry:
             handle.write("\n")
         os.replace(tmp, path)
         return path
-
-
-class PeriodicFlusher:
-    """Flush a registry to a file every ``interval`` seconds.
-
-    For batch runs that want progress visible from outside the process
-    (tail the file, or point ``python -m repro.metrics serve
-    --snapshot`` at it).  A daemon thread flushes on a timer; a final
-    flush happens on :meth:`stop`, so the file always ends complete.
-    """
-
-    def __init__(self, registry: MetricsRegistry, path: str,
-                 interval: float = 30.0,
-                 meta: Optional[dict] = None) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        self.registry = registry
-        self.path = path
-        self.interval = interval
-        self.meta = meta
-        #: completed flushes (tests poll this)
-        self.flushes = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.registry.flush_to(self.path, self.meta)
-            self.flushes += 1
-
-    def start(self) -> "PeriodicFlusher":
-        if self._thread is not None:
-            raise RuntimeError("flusher already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-metrics-flush", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the timer and write one final snapshot."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=self.interval + 5.0)
-            self._thread = None
-        self.registry.flush_to(self.path, self.meta)
-        self.flushes += 1
-
-    def __enter__(self) -> "PeriodicFlusher":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
 
 _default_registry: Optional[MetricsRegistry] = None

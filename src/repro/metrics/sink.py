@@ -87,8 +87,9 @@ class MetricsSink(TraceSink):
         ).labels(*base)
         self._search_hits = counter(
             "repro_solver_search_hits_total",
-            "Partial searches that found a cycle (detection rate "
-            "numerator; Figure 11).",
+            "Partial searches that found a cycle: the numerator of the "
+            "per-search hit rate, not of the per-variable detection "
+            "fraction.",
         ).labels(*base)
         self._search_visits = histogram(
             "repro_solver_search_visits",

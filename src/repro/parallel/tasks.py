@@ -1,4 +1,4 @@
-"""Top-level worker functions for :func:`repro.parallel.pool.run_tasks`.
+"""Top-level worker functions for :func:`repro.parallel.map_tasks`.
 
 Workers must be importable module-level callables (the ``spawn`` start
 method pickles them by reference) and must rebuild their inputs from
@@ -6,12 +6,14 @@ small picklable payloads: a worker re-derives its benchmark from the
 suite registry (:func:`repro.workloads.benchmark`) and its fuzz systems
 from the seed stream, rather than receiving megabytes of constraint
 system over the pipe.  Everything a worker returns is a plain
-dict/list/tuple structure the parent merges deterministically.
+dict/list/tuple structure the parent merges in submission order.  A
+serial run calls the same workers in-process.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from typing import Any, Dict, List
 
 from ..experiments.config import options_for
@@ -27,13 +29,17 @@ def bench_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     ``suite`` (label metadata only), ``trace`` / ``metrics`` (bools —
     attach a :class:`~repro.trace.histogram.HistogramSink` /
     :class:`~repro.metrics.sink.MetricsSink` and return their
-    serialized state), ``budget_seconds`` (optional per-solve
-    :class:`~repro.resilience.budget.SolveBudget` deadline).
+    serialized state), ``deadline`` (optional absolute
+    ``time.monotonic()`` reading, the same for every task of a run).
 
     Returns ``{"status": "ok", "counters", "wall_times", "telemetry",
-    "metrics"}`` — the exact ingredients of one serial
+    "metrics"}`` — the ingredients of one
     :class:`~repro.bench.harness.BenchRecord` — or ``{"status":
-    "timeout", "detail"}`` when the budget expires mid-solve.
+    "timeout", "detail"}`` when the deadline has passed before the solve
+    starts (nothing is solved) or expires mid-solve (the remaining time
+    is the solve's :class:`~repro.resilience.budget.SolveBudget`).
+    ``time.monotonic`` is the system-wide CLOCK_MONOTONIC on Linux, so
+    a deadline taken in the parent holds in every worker.
     """
     from ..bench.measure import measure_system
     from ..workloads import benchmark
@@ -42,10 +48,14 @@ def bench_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     system = bench.program.system
     label = payload["experiment"]
     options = options_for(label, seed=payload["seed"])
-    budget_seconds = payload.get("budget_seconds")
-    if budget_seconds is not None:
+    deadline = payload.get("deadline")
+    if deadline is not None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return {"status": "timeout",
+                    "detail": "deadline passed before the solve started"}
         options = options.replace(
-            budget=SolveBudget(deadline_seconds=budget_seconds)
+            budget=SolveBudget(deadline_seconds=remaining)
         )
     sink = None
     if payload.get("trace"):
@@ -91,44 +101,13 @@ def bench_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     return result
 
 
-def suite_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Measure one pair for :class:`~repro.experiments.SuiteResults`.
-
-    Returns the :class:`~repro.experiments.runner.RunRecord` field dict
-    (solutions stay in the worker: whole constraint graphs are not
-    worth shipping over a pipe, and ``SuiteResults.solution`` re-solves
-    locally on demand).
-    """
-    from ..bench.measure import measure_system
-    from ..workloads import benchmark
-
-    bench = benchmark(payload["benchmark"])
-    options = options_for(payload["experiment"], seed=payload["seed"])
-    measured = measure_system(
-        bench.program.system, options, repeats=payload["repeats"]
-    )
-    stats = measured.solution.stats
-    return {
-        "benchmark": payload["benchmark"],
-        "experiment": payload["experiment"],
-        "work": stats.work,
-        "final_edges": stats.final_edges,
-        "closure_seconds": stats.closure_seconds,
-        "least_solution_seconds": stats.least_solution_seconds,
-        "vars_eliminated": stats.vars_eliminated,
-        "cycles_found": stats.cycles_found,
-        "mean_search_visits": stats.mean_search_visits,
-        "clashes": stats.clashes,
-    }
-
-
 def fuzz_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Differentially check one contiguous index shard; the fuzz worker.
 
-    Payload keys: ``count`` / ``seed`` (the *whole run's* parameters —
-    the shape stream is keyed by ``seed`` and consumed in index order,
-    so every worker re-derives the full stream and only *checks* the
-    indices in ``[start, stop)``), ``labels``, ``shrink``.
+    Payload keys: ``seed`` (the *whole run's* seed — the shape stream
+    is keyed by it and consumed in index order, so every worker
+    re-derives the stream up to ``stop`` and only *checks* the indices
+    in ``[start, stop)``), ``labels``, ``shrink``.
 
     Returns ``{"checked": n, "disagreements": [...]}`` where each
     disagreement carries its (shrunk) reproducer as corpus JSON; the
@@ -143,17 +122,16 @@ def fuzz_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         system_to_json,
     )
 
-    count = payload["count"]
     seed = payload["seed"]
     labels = payload.get("labels")
     start, stop = payload["start"], payload["stop"]
     rng = random.Random(seed)
     checked = 0
     found: List[Dict[str, Any]] = []
-    for index in range(count):
+    for index in range(stop):
         system_seed = seed * 1_000_003 + index
         config = _config_for(index, system_seed, rng)
-        if not (start <= index < stop):
+        if index < start:
             continue
         checked += 1
         system = random_system(config)
@@ -171,7 +149,6 @@ def fuzz_task(payload: Dict[str, Any]) -> Dict[str, Any]:
             )
         label, kind, detail = disagreement
         found.append({
-            "index": index,
             "seed": system_seed,
             "label": label,
             "kind": kind,

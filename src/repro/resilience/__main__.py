@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional
 
 from ..experiments.config import EXPERIMENT_LABELS
@@ -88,8 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from ..parallel.pool import ParallelError
-
     try:
         disagreements = run_fuzz(
             count=args.systems,
@@ -100,7 +99,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             progress=lambda line: print(line, flush=True),
             jobs=args.jobs,
         )
-    except ParallelError as error:
+    except BrokenProcessPool as error:
         print(f"parallel fuzz failed: {error}", file=sys.stderr)
         return 2
     if disagreements:

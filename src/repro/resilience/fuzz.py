@@ -45,8 +45,10 @@ from ..constraints.system import ConstraintSystem
 from ..constraints.variance import Variance
 from ..experiments.config import EXPERIMENT_LABELS, options_for
 from ..graph.scc import strongly_connected_components
+from ..parallel import map_tasks
+from ..parallel.tasks import fuzz_task, shard_ranges
 from ..solver import solve, solve_reference
-from ..workloads.generator import RandomSystemConfig, random_system
+from ..workloads.generator import RandomSystemConfig
 from .errors import ResilienceError
 
 #: Reproducer file format version.
@@ -380,6 +382,11 @@ def _count_disagreement(label: str, kind: str) -> None:
     ).labels(label, kind).inc()
 
 
+#: Systems per fuzz task.  The shards do not depend on ``jobs``, so the
+#: progress lines (one per shard) are the same for any ``--jobs``.
+SHARD_SYSTEMS = 25
+
+
 def run_fuzz(
     count: int = 200,
     seed: int = 0,
@@ -397,126 +404,49 @@ def run_fuzz(
     Disagreements are shrunk (unless ``shrink=False``) and saved under
     ``corpus_dir`` (unless ``None``).
 
-    ``jobs != 1`` shards the index range across a
-    :mod:`repro.parallel` worker pool (``jobs <= 0`` = one worker per
-    core).  Workers only *check* their contiguous index shard (each
-    re-derives the full shape stream so shapes do not depend on the
-    shard layout) and ship disagreements back as corpus JSON; this
-    parent process merges them in index order, writes every reproducer,
-    and bumps the metrics counter — so the returned list, the corpus
-    directory, and the default registry end up exactly as a serial run
-    leaves them.
+    The index range is cut into contiguous shards of
+    :data:`SHARD_SYSTEMS`, each checked by
+    :func:`repro.parallel.tasks.fuzz_task` through
+    :func:`repro.parallel.map_tasks` (``jobs == 1`` in this process,
+    ``jobs <= 0`` one worker per core).  Shards ship disagreements back
+    as corpus JSON; this process merges them in index order, writes
+    every reproducer, and bumps the metrics counter, so the returned
+    list, the corpus directory and the default registry do not depend
+    on ``jobs``.
     """
-    if jobs != 1:
-        return _run_fuzz_parallel(
-            count=count, seed=seed, labels=labels,
-            corpus_dir=corpus_dir, shrink=shrink, progress=progress,
-            jobs=jobs,
+    payloads = [
+        {
+            "seed": seed,
+            "labels": list(labels) if labels else None,
+            "start": start,
+            "stop": stop,
+            "shrink": shrink,
+        }
+        for start, stop in shard_ranges(
+            count, -(-count // SHARD_SYSTEMS)
         )
-    rng = random.Random(seed)
-    disagreements: List[FuzzDisagreement] = []
-    for index in range(count):
-        system_seed = seed * 1_000_003 + index
-        config = _config_for(index, system_seed, rng)
-        system = random_system(config)
-        found = check_system(system, labels=labels)
-        if found is None:
-            if progress is not None and (index + 1) % 50 == 0:
-                progress(f"{index + 1}/{count} systems agree")
-            continue
-        reproducer = system
-        if shrink:
-            reproducer = shrink_constraints(
-                system,
-                lambda sub: check_system(sub, labels=labels) is not None,
-            )
-            found = check_system(reproducer, labels=labels) or found
-        label, kind, detail = found
-        _count_disagreement(label, kind)
-        disagreement = FuzzDisagreement(
-            seed=system_seed,
-            label=label,
-            kind=kind,
-            detail=detail,
-            constraints=len(reproducer),
-        )
-        if corpus_dir is not None:
-            disagreement.path = save_reproducer(
-                corpus_dir, disagreement, reproducer
-            )
-        disagreements.append(disagreement)
-        if progress is not None:
-            progress(f"DISAGREEMENT {disagreement}")
-    return disagreements
-
-
-def _run_fuzz_parallel(
-    count: int,
-    seed: int,
-    labels: Optional[Sequence[str]],
-    corpus_dir: Optional[str],
-    shrink: bool,
-    progress: Optional[Callable[[str], None]],
-    jobs: int,
-) -> List[FuzzDisagreement]:
-    """The ``jobs != 1`` fuzz path: contiguous index shards per task."""
-    from ..parallel.pool import TaskSpec, default_jobs, require_ok, run_tasks
-    from ..parallel.tasks import fuzz_task, shard_ranges
-
-    if jobs <= 0:
-        jobs = default_jobs()
-    # A few shards per worker keeps the pool busy when one shard hits
-    # an expensive shrink; shards stay contiguous so merge order is
-    # index order.
-    ranges = shard_ranges(count, jobs * 4)
-    tasks = [
-        TaskSpec(
-            key=f"fuzz[{start}:{stop}]",
-            payload={
-                "count": count,
-                "seed": seed,
-                "labels": list(labels) if labels else None,
-                "start": start,
-                "stop": stop,
-                "shrink": shrink,
-            },
-        )
-        for start, stop in ranges
     ]
-
+    disagreements: List[FuzzDisagreement] = []
     checked = 0
-
-    def report_progress(result) -> None:
-        nonlocal checked
-        if progress is None or not result.ok:
-            return
-        checked += result.value["checked"]
-        progress(f"{checked}/{count} systems checked")
-
-    results = require_ok(run_tasks(
-        fuzz_task, tasks, jobs=jobs, progress=report_progress,
-    ))
-    disagreements: List[FuzzDisagreement] = []
-    merged = [
-        entry
-        for result in results
-        for entry in result.value["disagreements"]
-    ]
-    merged.sort(key=lambda entry: entry["index"])
-    for entry in merged:
-        _count_disagreement(entry["label"], entry["kind"])
-        disagreement = FuzzDisagreement(
-            seed=entry["seed"],
-            label=entry["label"],
-            kind=entry["kind"],
-            detail=entry["detail"],
-            constraints=entry["constraints"],
-        )
-        if corpus_dir is not None:
-            disagreement.path = save_reproducer(
-                corpus_dir, disagreement, system_from_json(entry["system"])
+    for result in map_tasks(fuzz_task, payloads, jobs):
+        for entry in result["disagreements"]:
+            _count_disagreement(entry["label"], entry["kind"])
+            disagreement = FuzzDisagreement(
+                seed=entry["seed"],
+                label=entry["label"],
+                kind=entry["kind"],
+                detail=entry["detail"],
+                constraints=entry["constraints"],
             )
-        disagreements.append(disagreement)
+            if corpus_dir is not None:
+                disagreement.path = save_reproducer(
+                    corpus_dir, disagreement,
+                    system_from_json(entry["system"]),
+                )
+            disagreements.append(disagreement)
+            if progress is not None:
+                progress(f"DISAGREEMENT {disagreement}")
+        checked += result["checked"]
         if progress is not None:
-            progress(f"DISAGREEMENT {disagreement}")
+            progress(f"{checked}/{count} systems checked")
     return disagreements

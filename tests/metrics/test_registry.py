@@ -1,13 +1,11 @@
-"""Registry lifecycle, snapshots, flushers, and the default registry."""
+"""Registry lifecycle, snapshots, and the default registry."""
 
 import json
-import threading
 
 import pytest
 
 from repro.metrics import (
     MetricsRegistry,
-    PeriodicFlusher,
     SNAPSHOT_SCHEMA_VERSION,
     default_registry,
     reset_default_registry,
@@ -97,32 +95,6 @@ class TestSnapshots:
         registry = self.build()
         registry.clear()
         assert registry.collect() == []
-
-
-class TestPeriodicFlusher:
-    def test_context_manager_final_flush(self, tmp_path):
-        registry = MetricsRegistry()
-        counter = registry.counter("c_total", "help").labels()
-        path = str(tmp_path / "metrics.json")
-        with PeriodicFlusher(registry, path, interval=60.0):
-            counter.inc(5)
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        series = payload["families"][0]["series"]
-        assert series[0]["value"] == 5.0
-
-    def test_periodic_flushes_happen(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("c_total", "help").labels().inc()
-        path = str(tmp_path / "metrics.json")
-        flusher = PeriodicFlusher(registry, path, interval=0.01)
-        flusher.start()
-        try:
-            deadline = threading.Event()
-            deadline.wait(0.3)
-        finally:
-            flusher.stop()
-        assert flusher.flushes >= 1
 
 
 class TestDefaultRegistry:

@@ -1,145 +1,101 @@
-"""The worker pool's supervision contract.
+"""The task helper's contract: ordered results, nothing else.
 
-Every worker function here is module-level (picklable under any start
-method).  Crash and retry behaviors are driven through marker files in
-a temp directory: a worker that must "crash once" dies with
-``os._exit`` on its first attempt and succeeds once the marker exists,
-which exercises the real process-death path rather than a simulation.
+``map_tasks`` is the builtin ``map`` for ``jobs == 1`` and
+``ProcessPoolExecutor.map`` otherwise.  Every worker function here is
+module-level, so the ``spawn`` start method can pickle it by reference.
 """
 
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.parallel import (
-    ParallelError,
-    TaskSpec,
-    require_ok,
-    run_tasks,
-)
-from repro.parallel.tasks import shard_ranges
+from repro.parallel import map_tasks
+from repro.parallel.tasks import bench_task, shard_ranges
 
 
 def double(payload):
     return payload * 2
 
 
-def sleepy(payload):
-    time.sleep(payload)
-    return "woke"
-
-
 def raiser(payload):
     raise ValueError(f"deterministic failure on {payload!r}")
 
 
-def crash_once(marker_path):
-    if not os.path.exists(marker_path):
-        with open(marker_path, "w", encoding="utf-8") as handle:
-            handle.write("attempted\n")
-        os._exit(17)  # hard death: no result message, nonzero exit
-    return "recovered"
-
-
 def always_crash(payload):
-    os._exit(23)
+    os._exit(23)  # hard death: no result message, nonzero exit
 
 
 class TestOrderingAndValues:
     def test_results_in_submission_order(self):
-        tasks = [TaskSpec(key=str(n), payload=n) for n in range(7)]
-        results = run_tasks(double, tasks, jobs=3)
-        assert [r.key for r in results] == [str(n) for n in range(7)]
-        assert [r.value for r in results] == [n * 2 for n in range(7)]
-        assert all(r.ok and r.kind is None for r in results)
-
-    def test_require_ok_passes_through(self):
-        results = run_tasks(double, [TaskSpec("a", 1)], jobs=1)
-        assert require_ok(results) == results
+        results = list(map_tasks(double, range(7), jobs=3))
+        assert results == [n * 2 for n in range(7)]
 
     def test_jobs_zero_means_auto(self):
-        results = run_tasks(double, [TaskSpec("a", 21)], jobs=0)
-        assert results[0].value == 42
+        assert list(map_tasks(double, [21], jobs=0)) == [42]
 
 
 class TestFailureSemantics:
     def test_worker_exception_fails_without_retry(self):
-        results = run_tasks(raiser, [TaskSpec("bad", "x")], jobs=1,
-                            retries=3)
-        (result,) = results
-        assert not result.ok
-        assert result.kind == "exception"
-        assert result.attempts == 1, "deterministic failures never retry"
-        assert "ValueError: deterministic failure" in result.error
-
-    def test_crash_is_retried_and_recovers(self, tmp_path):
-        marker = str(tmp_path / "crashed-once")
-        results = run_tasks(
-            crash_once, [TaskSpec("flaky", marker)], jobs=1, retries=1,
-        )
-        (result,) = results
-        assert result.ok
-        assert result.value == "recovered"
-        assert result.attempts == 2
+        """A raising worker propagates its own exception type, serially
+        and from a worker process alike."""
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="deterministic failure"):
+                list(map_tasks(raiser, ["x"], jobs=jobs))
 
     def test_persistent_crash_fails_with_cause(self):
-        results = run_tasks(
-            always_crash, [TaskSpec("doomed", None)], jobs=1, retries=2,
-        )
-        (result,) = results
-        assert not result.ok
-        assert result.kind == "crash"
-        assert result.attempts == 3  # initial + 2 retries
-        assert "exit code 23" in result.error
-
-    def test_require_ok_raises_with_cause(self):
-        results = run_tasks(raiser, [TaskSpec("bad", "x")], jobs=1)
-        with pytest.raises(ParallelError) as excinfo:
-            require_ok(results)
-        assert "bad [exception" in str(excinfo.value)
-
-    def test_failure_does_not_poison_other_tasks(self, tmp_path):
-        tasks = [
-            TaskSpec("ok-1", 1),
-            TaskSpec("dead", None),
-            TaskSpec("ok-2", 2),
-        ]
-        results = run_tasks(mixed_worker, tasks, jobs=2, retries=0)
-        assert [r.ok for r in results] == [True, False, True]
-        assert results[0].value == 2 and results[2].value == 4
+        """A worker process that dies breaks the pool; the caller sees
+        BrokenProcessPool instead of waiting forever."""
+        with ThreadPoolExecutor(max_workers=1) as runner:
+            future = runner.submit(
+                lambda: list(map_tasks(always_crash, [None, None], jobs=2))
+            )
+            with pytest.raises(BrokenProcessPool):
+                future.result(timeout=120)
 
 
-def mixed_worker(payload):
-    if payload is None:
-        os._exit(9)
-    return payload * 2
+class TestCliExitCodes:
+    def test_bench_broken_pool_exits_two(self, monkeypatch, capsys):
+        import repro.bench.__main__ as bench_cli
+
+        def broken(**kwargs):
+            raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(bench_cli, "run_bench", broken)
+        assert bench_cli.main(["--no-output", "--jobs", "2"]) == 2
+        assert "a worker died" in capsys.readouterr().err
+
+    def test_fuzz_broken_pool_exits_two(self, monkeypatch, capsys):
+        import repro.resilience.__main__ as resilience_cli
+
+        def broken(**kwargs):
+            raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(resilience_cli, "run_fuzz", broken)
+        assert resilience_cli.main(
+            ["fuzz", "--systems", "4", "--no-save", "--jobs", "2"]
+        ) == 2
+        assert "a worker died" in capsys.readouterr().err
 
 
-class TestTimeouts:
-    def test_task_timeout_retried_then_failed(self):
-        tasks = [TaskSpec("hang", 30, timeout=0.5)]
-        started = time.monotonic()
-        results = run_tasks(sleepy, tasks, jobs=1, retries=1)
-        elapsed = time.monotonic() - started
-        (result,) = results
-        assert not result.ok
-        assert result.kind == "timeout"
-        assert result.attempts == 2
-        assert elapsed < 20, "the pool must not wait out the sleep"
+class TestDeadline:
+    def test_expired_deadline_returns_timeout_without_solving(
+            self, monkeypatch):
+        import repro.bench.measure as measure
 
-    def test_overall_deadline_kills_stragglers(self):
-        tasks = [TaskSpec("hang", 30), TaskSpec("quick", 0)]
-        started = time.monotonic()
-        results = run_tasks(
-            sleepy, tasks, jobs=2, overall_timeout=1.5, retries=0,
-        )
-        elapsed = time.monotonic() - started
-        assert elapsed < 20
-        by_key = {r.key: r for r in results}
-        assert by_key["quick"].ok and by_key["quick"].value == "woke"
-        assert by_key["hang"].kind == "timeout"
-        assert "overall deadline" in by_key["hang"].error
+        def must_not_solve(*args, **kwargs):
+            raise AssertionError("solved after the deadline")
+
+        monkeypatch.setattr(measure, "measure_system", must_not_solve)
+        result = bench_task({
+            "suite": "quick", "benchmark": "allroots",
+            "experiment": "SF-Plain", "seed": 0, "repeats": 1,
+            "trace": False, "metrics": False,
+            "deadline": time.monotonic() - 1.0,
+        })
+        assert result["status"] == "timeout"
 
 
 class TestShardRanges:
