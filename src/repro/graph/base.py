@@ -19,6 +19,18 @@ resolved lazily via ``find`` whenever they are read.  Propagation never
 mutates the graph directly — it *emits* atomic operations onto the
 engine's worklist, which keeps the closure incremental and makes the
 Work metric (one unit per processed operation) well defined.
+
+A fan-out loop — one new edge paired with every member of a bucket —
+emits a single *batch* entry instead of one op per member: the batch
+tag plus a ``tuple`` snapshot of the bucket on one side (buckets keep
+growing, and ``_absorb`` replaces them).  :func:`expand` turns a batch
+back into its single ops.  The engine runs them in order when the
+entry is popped — var-var batches through :meth:`add_var_vars_left` /
+:meth:`add_var_vars_right`, which inductive form overrides — and they
+would have sat next to each other in the FIFO worklist, so the op
+sequence, and with it every counter, is the same as if each had been
+queued on its own.  Work counts expanded single ops; a batch entry is
+not a unit.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from __future__ import annotations
 from typing import (
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -47,8 +60,46 @@ OP_SOURCE = "sv"
 OP_SINK = "vs"
 OP_RESOLVE = "rr"
 
-#: A worklist operation: (tag, payload, payload).
+#: Batch tags: the bucket snapshot is a tuple in the left (``<``) or
+#: right (``>``) slot, e.g. ``(OP_VAR_VARS_LEFT, (x1, x2), y)`` stands
+#: for ``("vv", x1, y), ("vv", x2, y)``.
+OP_VAR_VARS_LEFT = "vv<"
+OP_VAR_VARS_RIGHT = "vv>"
+OP_SOURCES_LEFT = "sv<"
+OP_SOURCES_RIGHT = "sv>"
+OP_SINKS_LEFT = "vs<"
+OP_SINKS_RIGHT = "vs>"
+
+#: batch tag -> (single-op tag, whether the tuple is in the left slot)
+BATCH_TAGS: Dict[str, Tuple[str, bool]] = {
+    OP_VAR_VARS_LEFT: (OP_VAR_VAR, True),
+    OP_VAR_VARS_RIGHT: (OP_VAR_VAR, False),
+    OP_SOURCES_LEFT: (OP_SOURCE, True),
+    OP_SOURCES_RIGHT: (OP_SOURCE, False),
+    OP_SINKS_LEFT: (OP_SINK, True),
+    OP_SINKS_RIGHT: (OP_SINK, False),
+}
+
+#: A worklist entry: (tag, payload, payload).  Under a single-op tag
+#: both payloads are operands; under a batch tag one is a tuple of
+#: operands, each paired with the other payload.
 Op = Tuple[str, object, object]
+
+
+def expand(entry: Op) -> Iterator[Op]:
+    """Yield the single ops of ``entry``, in order (itself if single)."""
+    tag, first, second = entry
+    batch = BATCH_TAGS.get(tag)
+    if batch is None:
+        yield entry
+        return
+    single, spread_left = batch
+    if spread_left:
+        for item in first:
+            yield (single, item, second)
+    else:
+        for item in second:
+            yield (single, first, item)
 
 
 class ConstraintGraphBase:
@@ -150,6 +201,20 @@ class ConstraintGraphBase:
     def add_sink(self, var_index: int, term: Term) -> None:
         raise NotImplementedError
 
+    def add_var_vars_left(self, lefts: Iterable[int], right: int) -> None:
+        """``add_var_var(left, right)`` for each of ``lefts``, in order:
+        the single ops of an ``OP_VAR_VARS_LEFT`` batch."""
+        add_var_var = self.add_var_var
+        for left in lefts:
+            add_var_var(left, right)
+
+    def add_var_vars_right(self, left: int, rights: Iterable[int]) -> None:
+        """``add_var_var(left, right)`` for each of ``rights``, in order:
+        the single ops of an ``OP_VAR_VARS_RIGHT`` batch."""
+        add_var_var = self.add_var_var
+        for right in rights:
+            add_var_var(left, right)
+
     # ------------------------------------------------------------------
     # Cycle collapse (shared by both forms)
     # ------------------------------------------------------------------
@@ -183,14 +248,18 @@ class ConstraintGraphBase:
         self.unionfind.union_into(witness, absorbed)
         self.stats.vars_eliminated += 1
         emit = self.emit
-        for term in self.sources[absorbed]:
-            emit((OP_SOURCE, term, witness))
-        for term in self.sinks[absorbed]:
-            emit((OP_SINK, witness, term))
-        for succ in self.succ_vars[absorbed]:
-            emit((OP_VAR_VAR, witness, succ))
-        for pred in self.pred_vars[absorbed]:
-            emit((OP_VAR_VAR, pred, witness))
+        sources = self.sources[absorbed]
+        sinks = self.sinks[absorbed]
+        succs = self.succ_vars[absorbed]
+        preds = self.pred_vars[absorbed]
+        if sources:
+            emit((OP_SOURCES_LEFT, tuple(sources), witness))
+        if sinks:
+            emit((OP_SINKS_RIGHT, witness, tuple(sinks)))
+        if succs:
+            emit((OP_VAR_VARS_RIGHT, witness, tuple(succs)))
+        if preds:
+            emit((OP_VAR_VARS_LEFT, tuple(preds), witness))
         self.sources[absorbed] = {}
         self.sinks[absorbed] = {}
         self.succ_vars[absorbed] = {}

@@ -24,7 +24,8 @@ from ..constraints.expressions import Term
 from .base import (
     ConstraintGraphBase,
     OP_RESOLVE,
-    OP_SOURCE,
+    OP_SOURCES_LEFT,
+    OP_SOURCES_RIGHT,
 )
 
 
@@ -74,9 +75,9 @@ class StandardGraph(ConstraintGraphBase):
         bucket[right] = None
         if on_edge is not None:
             on_edge("vv", left, right, "added")
-        emit = self.emit
-        for term in self.sources[left]:
-            emit((OP_SOURCE, term, right))
+        sources = self.sources[left]
+        if sources:
+            self.emit((OP_SOURCES_LEFT, tuple(sources), right))
 
     def add_source(self, term: Term, var_index: int) -> None:
         """Process ``c(...) <= X``: record and propagate forward."""
@@ -98,8 +99,9 @@ class StandardGraph(ConstraintGraphBase):
         if on_edge is not None:
             on_edge("sv", term, var_index, "added")
         emit = self.emit
-        for succ in self.succ_vars[var_index]:
-            emit((OP_SOURCE, term, succ))
+        succs = self.succ_vars[var_index]
+        if succs:
+            emit((OP_SOURCES_RIGHT, term, tuple(succs)))
         for sink in self.sinks[var_index]:
             emit((OP_RESOLVE, term, sink))
 

@@ -206,7 +206,6 @@ _SNAPSHOT_FAMILIES = (
     "repro_solver_vars_eliminated_total",
     "repro_solver_budget_stops_total",
     "repro_solver_audit_failures_total",
-    "repro_fuzz_disagreements_total",
 )
 
 

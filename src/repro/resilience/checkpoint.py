@@ -9,7 +9,8 @@ finish the closure.
 
 What a checkpoint holds (format :data:`CHECKPOINT_VERSION`):
 
-* the pending worklist, in deque order;
+* the pending worklist, in deque order, with batch entries flattened
+  into their single ops (see :func:`repro.graph.base.expand`);
 * every adjacency / source / sink bucket, saved in insertion order;
 * the union-find parent array and collapsed count;
 * the full :class:`~repro.graph.stats.SolverStats` counter snapshot,
@@ -55,6 +56,7 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..constraints.expressions import ONE, Term, ZERO
+from ..graph.base import expand
 from ..graph.stats import SolverStats
 from .budget import SolveStatus
 from .errors import CheckpointError
@@ -242,7 +244,8 @@ def capture(engine: "SolverEngine") -> EngineCheckpoint:
         "pred": [list(bucket) for bucket in graph.pred_vars],
         "sources": [list(bucket) for bucket in graph.sources],
         "sinks": [list(bucket) for bucket in graph.sinks],
-        "pending": list(engine.pending),
+        # Batch entries go in as their single ops, so the format is v3.
+        "pending": [op for entry in engine.pending for op in expand(entry)],
         "since_sweep": engine._since_sweep,
         "stats": {
             f.name: getattr(stats, f.name) for f in fields(SolverStats)

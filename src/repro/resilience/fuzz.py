@@ -20,7 +20,12 @@ six configurations plus the reference, and cross-check
 * **SCC partition** — the final-graph SCCs of SF-Plain and IF-Plain
   are the same partition, and every Oracle run collapsed exactly that
   partition (the oracle reads it off one SF-Plain run for both forms,
-  so this checks the shortcut rather than assuming it).
+  so this checks the shortcut rather than assuming it);
+* **resume** — each non-Oracle run, stopped by a Work budget at a
+  drawn cut point, checkpointed, restored and resumed, ends with the
+  uninterrupted run's counters and the reference's answers;
+* **periodic** — both forms under ``CyclePolicy.PERIODIC`` (offline
+  SCC sweeps at a drawn interval) agree with the reference.
 
 Any disagreement is shrunk (ddmin over the constraint list, then greedy
 single removals to 1-minimality) and saved as a JSON reproducer under
@@ -39,16 +44,28 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from ..bench.measure import counters_of
 from ..constraints.constructors import ONE_CONSTRUCTOR, ZERO_CONSTRUCTOR
-from ..constraints.expressions import ONE, SetExpression, Term, Var, ZERO
+from ..constraints.expressions import ONE, SetExpression, Var, ZERO
 from ..constraints.system import ConstraintSystem
 from ..constraints.variance import Variance
 from ..experiments.config import EXPERIMENT_LABELS, options_for
 from ..graph.scc import strongly_connected_components
 from ..parallel import map_tasks
 from ..parallel.tasks import fuzz_task, shard_ranges
-from ..solver import solve, solve_reference
+from ..solver import (
+    CyclePolicy,
+    GraphForm,
+    ReferenceResult,
+    Solution,
+    SolverEngine,
+    SolverOptions,
+    solve,
+    solve_reference,
+)
 from ..workloads.generator import RandomSystemConfig
+from .budget import SolveBudget
+from .checkpoint import EngineCheckpoint, capture, restore
 from .errors import ResilienceError
 
 #: Reproducer file format version.
@@ -66,7 +83,7 @@ class FuzzDisagreement:
     seed: int
     #: experiment label that disagreed with the reference
     label: str
-    #: "verdict" | "least-solution" | "collapse" | "partition"
+    #: "verdict" | "least-solution" | "collapse" | "partition" | "resume"
     kind: str
     #: human-readable description of the mismatch
     detail: str
@@ -83,6 +100,89 @@ class FuzzDisagreement:
         )
 
 
+def _collapse_classes(
+    system: ConstraintSystem, solution: Solution,
+) -> List[List[Var]]:
+    """The system's variables grouped by their representative."""
+    components: Dict[int, List[Var]] = {}
+    for var in system.variables:
+        components.setdefault(solution.representative(var), []).append(var)
+    return list(components.values())
+
+
+def _compare(
+    system: ConstraintSystem, reference: ReferenceResult,
+    solution: Solution,
+) -> Optional[Tuple[str, str]]:
+    """Verdict, least-solution and collapse checks of one solution
+    against the reference; ``(kind, detail)`` of the first mismatch."""
+    reference_ok = not reference.diagnostics
+    if solution.ok != reference_ok:
+        return (
+            "verdict",
+            f"{'consistent' if solution.ok else 'inconsistent'} but "
+            f"reference says "
+            f"{'consistent' if reference_ok else 'inconsistent'}",
+        )
+    for var in system.variables:
+        got = solution.least_solution(var)
+        want = reference.least_solution(var)
+        if got != want:
+            missing = sorted(map(str, want - got))
+            extra = sorted(map(str, got - want))
+            return (
+                "least-solution",
+                f"LS({var}) missing={missing} extra={extra}",
+            )
+    for members in _collapse_classes(system, solution):
+        base = reference.least_solution(members[0])
+        for other in members[1:]:
+            if reference.least_solution(other) != base:
+                return (
+                    "collapse",
+                    f"{members[0]} and {other} collapsed together but "
+                    f"have different reference least solutions",
+                )
+    return None
+
+
+def _check_resume(
+    system: ConstraintSystem, reference: ReferenceResult, label: str,
+    seed: int, uninterrupted: Solution, rng: random.Random,
+) -> Optional[str]:
+    """Cut ``label``'s run at a random Work count, then capture, round-
+    trip through bytes, restore and resume.  The resumed run must end
+    with the uninterrupted run's counters and the reference's answers;
+    returns the detail of the first mismatch, if any.
+
+    ``check_stride=1`` polls the budget before every single op, so the
+    cut can fall inside a batch entry.
+    """
+    work = uninterrupted.stats.work
+    if work < 2:
+        return None
+    cut = rng.randrange(1, work)
+    engine = SolverEngine(system, options_for(
+        label, seed=seed, budget=SolveBudget(max_work=cut),
+        on_budget="partial", check_stride=1,
+    ))
+    engine.run()
+    restored = restore(
+        system, options_for(label, seed=seed),
+        EngineCheckpoint.from_bytes(capture(engine).to_bytes()),
+    )
+    resumed = restored.resume()
+    got, want = counters_of(resumed), counters_of(uninterrupted)
+    if got != want:
+        diff = {name: (want[name], got[name])
+                for name in want if got[name] != want[name]}
+        return f"cut at work {cut}: counters (want, got) {diff}"
+    mismatch = _compare(system, reference, resumed)
+    if mismatch is not None:
+        return f"cut at work {cut}: {mismatch[0]}: {mismatch[1]}"
+    return None
+
+
 def check_system(
     system: ConstraintSystem,
     labels: Optional[Sequence[str]] = None,
@@ -94,49 +194,41 @@ def check_system(
     the first disagreement found.  ``seed`` is the variable-order seed
     passed to each configuration (the *system* is fixed; the order seed
     only changes how much work each run does, never its answers).
+
+    Besides the one-shot runs, each non-Oracle label is also solved in
+    two segments (kind ``"resume"``: a Work budget cut at a point drawn
+    from ``seed`` and the system's size, checkpoint, restore, resume),
+    and both forms under ``CyclePolicy.PERIODIC`` at an interval drawn
+    the same way (labels like ``SF-Periodic(7)``).
     """
     reference = solve_reference(system)
-    reference_ok = not reference.diagnostics
+    rng = random.Random(f"{seed}:{len(system)}:{system.num_vars}")
     partitions: Dict[str, FrozenSet[FrozenSet[int]]] = {}
     for label in labels or EXPERIMENT_LABELS:
         solution = solve(system, options_for(label, seed=seed))
-        if solution.ok != reference_ok:
-            return (
-                label,
-                "verdict",
-                f"{'consistent' if solution.ok else 'inconsistent'} but "
-                f"reference says "
-                f"{'consistent' if reference_ok else 'inconsistent'}",
+        mismatch = _compare(system, reference, solution)
+        if mismatch is not None:
+            return (label, *mismatch)
+        if not label.endswith("Oracle"):
+            detail = _check_resume(
+                system, reference, label, seed, solution, rng
             )
-        for var in system.variables:
-            got = solution.least_solution(var)
-            want = reference.least_solution(var)
-            if got != want:
-                missing = sorted(map(str, want - got))
-                extra = sorted(map(str, got - want))
-                return (
-                    label,
-                    "least-solution",
-                    f"LS({var}) missing={missing} extra={extra}",
-                )
-        components: Dict[int, List[Var]] = {}
-        for var in system.variables:
-            components.setdefault(solution.representative(var), []).append(var)
-        for members in components.values():
-            base = reference.least_solution(members[0])
-            for other in members[1:]:
-                if reference.least_solution(other) != base:
-                    return (
-                        label,
-                        "collapse",
-                        f"{members[0]} and {other} collapsed together but "
-                        f"have different reference least solutions",
-                    )
-        if label.endswith("Oracle"):
-            partitions[label] = frozenset(
-                frozenset(var.index for var in members)
-                for members in components.values() if len(members) > 1
-            )
+            if detail is not None:
+                return (label, "resume", detail)
+            continue
+        partitions[label] = frozenset(
+            frozenset(var.index for var in members)
+            for members in _collapse_classes(system, solution)
+            if len(members) > 1
+        )
+    for form in GraphForm:
+        options = SolverOptions(
+            form=form, cycles=CyclePolicy.PERIODIC, seed=seed,
+            periodic_interval=rng.randrange(1, 16),
+        )
+        mismatch = _compare(system, reference, solve(system, options))
+        if mismatch is not None:
+            return (options.label, *mismatch)
     # SCC partition: read off both Plain final graphs (solved here, so
     # the check runs whatever ``labels`` selects), then every Oracle
     # run's collapse classes must equal SF-Plain's.
@@ -363,25 +455,6 @@ def _config_for(index: int, seed: int,
     return RandomSystemConfig(**shape)
 
 
-def _count_disagreement(label: str, kind: str) -> None:
-    """Bump the process-wide fuzz-disagreement counter.
-
-    Every confirmed differential failure is a defensibly rare event
-    worth surfacing on a dashboard, so it lands in the default
-    :mod:`repro.metrics` registry regardless of whether this process
-    wired up an explicit one.  No-op overhead when metrics are
-    disabled: only reached on an actual disagreement.
-    """
-    from ..metrics import default_registry
-
-    default_registry().counter(
-        "repro_fuzz_disagreements_total",
-        "Differential-fuzz disagreements found, by divergent "
-        "experiment label and failure kind.",
-        ("label", "kind"),
-    ).labels(label, kind).inc()
-
-
 #: Systems per fuzz task.  The shards do not depend on ``jobs``, so the
 #: progress lines (one per shard) are the same for any ``--jobs``.
 SHARD_SYSTEMS = 25
@@ -409,10 +482,9 @@ def run_fuzz(
     :func:`repro.parallel.tasks.fuzz_task` through
     :func:`repro.parallel.map_tasks` (``jobs == 1`` in this process,
     ``jobs <= 0`` one worker per core).  Shards ship disagreements back
-    as corpus JSON; this process merges them in index order, writes
-    every reproducer, and bumps the metrics counter, so the returned
-    list, the corpus directory and the default registry do not depend
-    on ``jobs``.
+    as corpus JSON; this process merges them in index order and writes
+    every reproducer, so the returned list and the corpus directory do
+    not depend on ``jobs``.
     """
     payloads = [
         {
@@ -430,7 +502,6 @@ def run_fuzz(
     checked = 0
     for result in map_tasks(fuzz_task, payloads, jobs):
         for entry in result["disagreements"]:
-            _count_disagreement(entry["label"], entry["kind"])
             disagreement = FuzzDisagreement(
                 seed=entry["seed"],
                 label=entry["label"],

@@ -6,6 +6,11 @@ representation, which in turn emits further operations.  Every processed
 ``vv``/``sv``/``vs`` operation is one unit of Work — the paper's cost
 metric — and ``rr`` operations apply the resolution rules ``R`` to a
 source/sink pair.
+
+A fan-out arrives as one batch entry (see :mod:`repro.graph.base`)
+that stands for a run of contiguous single ops; the drains run that
+run in order before popping the next entry, so Work and every other
+counter are those of the one-op-per-entry worklist.
 """
 
 from __future__ import annotations
@@ -20,11 +25,18 @@ from ..constraints.expressions import SetExpression, Term
 from ..constraints.resolution import decompose
 from ..constraints.system import ConstraintSystem
 from ..graph.base import (
+    BATCH_TAGS,
     OP_RESOLVE,
     OP_SINK,
+    OP_SINKS_LEFT,
     OP_SOURCE,
+    OP_SOURCES_LEFT,
+    OP_SOURCES_RIGHT,
     OP_VAR_VAR,
+    OP_VAR_VARS_LEFT,
+    OP_VAR_VARS_RIGHT,
     Op,
+    expand,
 )
 from ..graph.inductive import InductiveGraph
 from ..graph.order import VariableOrder
@@ -212,6 +224,12 @@ class SolverEngine:
         if not self._periodic:
             # Fast drain: identical dispatch without the per-operation
             # periodic sweep check (the overwhelmingly common case).
+            # A batch runs in full when popped: var-var batches through
+            # the graph's batch methods, the others inline.  The
+            # single-op tags are tested first, so single ops dispatch as
+            # cheaply as before; `sv>` is the commonest batch under SF.
+            add_var_vars_left = graph.add_var_vars_left
+            add_var_vars_right = graph.add_var_vars_right
             while pending:
                 tag, first, second = popleft()
                 if tag == OP_VAR_VAR:
@@ -220,10 +238,32 @@ class SolverEngine:
                     add_source(first, second)
                 elif tag == OP_SINK:
                     add_sink(first, second)
-                else:
+                elif tag == OP_RESOLVE:
                     resolve(first, second)
+                elif tag == OP_SOURCES_RIGHT:
+                    for var in second:
+                        add_source(first, var)
+                elif tag == OP_VAR_VARS_LEFT:
+                    add_var_vars_left(first, second)
+                elif tag == OP_VAR_VARS_RIGHT:
+                    add_var_vars_right(first, second)
+                elif tag == OP_SOURCES_LEFT:
+                    for term in first:
+                        add_source(term, second)
+                elif tag == OP_SINKS_LEFT:
+                    for var in first:
+                        add_sink(var, second)
+                else:  # OP_SINKS_RIGHT
+                    for term in second:
+                        add_sink(first, term)
             return
+        # Periodic drain: a batch goes back onto the front as single
+        # ops, so `_periodic_tick` counts var-var ops as before.
+        extendleft = pending.extendleft
         while pending:
+            if pending[0][0] in BATCH_TAGS:
+                extendleft(reversed(list(expand(popleft()))))
+                continue
             tag, first, second = popleft()
             if tag == OP_VAR_VAR:
                 add_var_var(first, second)
@@ -241,9 +281,11 @@ class SolverEngine:
         Dispatches identically to :meth:`_drain` (including the periodic
         path), but every ``check_stride`` operations it polls the budget
         and cancellation token, and every ``stride-N`` operations it
-        audits the graph invariants.  The
-        checks observe and stop — they never reorder or skip operations
-        — so counters stay bit-identical to an unguarded run.
+        audits the graph invariants.  A batch entry at the front is
+        first replaced by its single ops, so strides count single ops
+        and a stop can land inside a batch.  The checks observe and
+        stop — they never reorder or skip operations — so counters stay
+        bit-identical to an unguarded run.
 
         On a limit, either raises (``on_budget="raise"``) or sets a
         partial :attr:`status` and returns with the remaining worklist
@@ -261,9 +303,13 @@ class SolverEngine:
         stride = self._check_stride
         audit_stride = self._audit_policy.stride
         limits = self._budget is not None or self._cancellation is not None
+        extendleft = pending.extendleft
         since_check = 0
         since_audit = 0
         while pending:
+            if pending[0][0] in BATCH_TAGS:
+                extendleft(reversed(list(expand(popleft()))))
+                continue
             if limits:
                 since_check += 1
                 if since_check >= stride:

@@ -121,14 +121,14 @@ class TestSnapshots:
 
         registry = MetricsRegistry()
         registry.counter(
-            "repro_fuzz_disagreements_total", "help", ("label", "kind")
-        ).labels("SF-Online", "least").inc(2)
+            "repro_solver_budget_stops_total", "help", ("reason", "form")
+        ).labels("work", "SF").inc(2)
         path = str(tmp_path / "snap.json")
         registry.flush_to(path)
         rows = summarize_snapshots([path, path])
         assert rows == [(
-            "repro_fuzz_disagreements_total",
-            "kind=least,label=SF-Online",
+            "repro_solver_budget_stops_total",
+            "form=SF,reason=work",
             4.0,
         )]
 

@@ -90,26 +90,6 @@ class TestInjectedBug:
             system, _ = load_reproducer(disagreement.path)
             assert check_system(system) is None
 
-    def test_disagreements_surface_as_metrics(self, monkeypatch):
-        from repro.metrics import default_registry, reset_default_registry
-
-        reset_default_registry()
-        try:
-            inject_broken_absorb(monkeypatch)
-            found = run_fuzz(count=4, seed=0, corpus_dir=None,
-                             shrink=False)
-            assert found
-            family = next(
-                f for f in default_registry().collect()
-                if f.name == "repro_fuzz_disagreements_total"
-            )
-            total = sum(
-                child.to_value() for _, child in family.series()
-            )
-            assert total == len(found)
-        finally:
-            reset_default_registry()
-
 
 class TestPartitionCheck:
     def test_partition_check_catches_lossy_oracle(self, monkeypatch):
